@@ -1,6 +1,7 @@
 #include "cpu/ooo_core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
@@ -17,6 +18,8 @@ namespace
 {
 
 constexpr size_t kFetchQueueCap = 16;
+static_assert(std::has_single_bit(kFetchQueueCap),
+              "the fetch queue ring holds exactly kFetchQueueCap ops");
 
 constexpr int
 unitIdx(CpuUnit u)
@@ -53,7 +56,9 @@ OooCore::OooCore(const CoreParams &params, uint32_t core_id,
                  mem::MemHierarchy *hierarchy, TraceSource *trace)
     : params_(params), coreId_(core_id), hier_(hierarchy),
       trace_(trace), bpred_(params.bp), fuPool_(params.fu),
+      fetchQueue_(kFetchQueueCap), rob_(params.robSize, 1),
       scoreboard_(kNumIntRegs + kNumFpRegs, 0),
+      storeQueue_(params.lsqSize),
       stats_("core." + std::to_string(core_id)), ctrs_(stats_)
 {
     hetsim_assert(hier_ != nullptr && trace_ != nullptr,
@@ -65,20 +70,6 @@ OooCore::OooCore(const CoreParams &params, uint32_t core_id,
     freeIntRegs_ = params_.intRegs - kNumIntRegs;
     freeFpRegs_ = params_.fpRegs - kNumFpRegs;
     iq_.reserve(params_.iqSize);
-}
-
-OooCore::RobEntry *
-OooCore::entryBySeq(uint64_t seq)
-{
-    if (rob_.empty() || seq < rob_.front().seq || seq > rob_.back().seq)
-        return nullptr;
-    return &rob_[seq - rob_.front().seq];
-}
-
-const OooCore::RobEntry *
-OooCore::entryBySeq(uint64_t seq) const
-{
-    return const_cast<OooCore *>(this)->entryBySeq(seq);
 }
 
 void
@@ -214,8 +205,7 @@ OooCore::nextEventCycle(Cycle from) const
     // Fetch: gated by IL1 miss stalls and mispredict redirects. A
     // pending redirect with no resume cycle yet wakes up via the
     // blocking branch's issue event.
-    if (fetchQueue_.size() < kFetchQueueCap &&
-        !(traceDone_ && !haveStaged_)) {
+    if (!fetchQueue_.full() && !(traceDone_ && !haveStaged_)) {
         Cycle c = std::max(from, fetchStallUntil_);
         if (fetchBlocked_) {
             c = fetchResumeAt_ == 0 ? mem::kNoEvent
@@ -279,12 +269,13 @@ OooCore::fetch(Cycle now)
     }
 
     uint32_t fetched = 0;
-    while (fetched < params_.fetchWidth &&
-           fetchQueue_.size() < kFetchQueueCap) {
+    while (fetched < params_.fetchWidth && !fetchQueue_.full()) {
+        // The op is staged in place in the queue's tail slot.
+        FetchedOp &f = fetchQueue_.tailSlot();
         if (!haveStaged_) {
             if (drainGated_)
                 break; // checkpoint drain: stop pulling new work
-            if (traceDone_ || !trace_->next(staged_)) {
+            if (traceDone_ || !trace_->next(f.op)) {
                 traceDone_ = true;
                 break;
             }
@@ -293,11 +284,11 @@ OooCore::fetch(Cycle now)
         }
 
         // Instruction cache access on a line crossing.
-        if (staged_.cls != OpClass::Barrier) {
-            const uint64_t line = staged_.pc >> mem::kLineShift;
+        if (f.op.cls != OpClass::Barrier) {
+            const uint64_t line = f.op.pc >> mem::kLineShift;
             if (line != lastFetchLine_) {
                 lastFetchLine_ = line;
-                const auto r = hier_->access(coreId_, staged_.pc,
+                const auto r = hier_->access(coreId_, f.op.pc,
                                              AccessType::Ifetch, now);
                 if (r.latency > hier_->params().lat.il1Rt) {
                     // IL1 miss: stall fetch until the line arrives.
@@ -308,11 +299,10 @@ OooCore::fetch(Cycle now)
             }
         }
 
-        FetchedOp f;
-        f.op = staged_;
         haveStaged_ = false;
         ++activity_[unitIdx(CpuUnit::Frontend)];
 
+        f.mispredicted = false;
         bool end_group = false;
         if (isBranchClass(f.op.cls)) {
             f.mispredicted = bpred_.predictAndTrain(f.op);
@@ -333,7 +323,7 @@ OooCore::fetch(Cycle now)
 
         HETSIM_TRACE(traceBuf_, now, coreId_, obs::TraceEvent::Fetch,
                      f.op.pc, 0);
-        fetchQueue_.push_back(f);
+        fetchQueue_.pushBack();
         ++fetched;
         if (end_group)
             break;
@@ -347,8 +337,8 @@ OooCore::dispatch(Cycle now)
         return;
     uint32_t dispatched = 0;
     while (dispatched < params_.issueWidth && !fetchQueue_.empty()) {
-        FetchedOp &f = fetchQueue_.front();
-        MicroOp &op = f.op;
+        const FetchedOp &f = fetchQueue_.front();
+        const MicroOp &op = f.op;
 
         if (op.cls == OpClass::Barrier) {
             // Drain the pipeline, then park at the barrier.
@@ -356,7 +346,7 @@ OooCore::dispatch(Cycle now)
                 ++ctrs_.barrierDrainStalls;
                 break;
             }
-            fetchQueue_.pop_front();
+            fetchQueue_.popFront();
             atBarrier_ = true;
             barrierParkedAt_ = now;
             ++ctrs_.barriers;
@@ -373,7 +363,7 @@ OooCore::dispatch(Cycle now)
             hetsim_assert(sync_ != nullptr,
                           "sync micro-op but no SyncController set");
             const MicroOp sop = op;
-            fetchQueue_.pop_front();
+            fetchQueue_.popFront();
             atSync_ = true;
             ++ctrs_.syncOps;
             HETSIM_TRACE(traceBuf_, now, coreId_,
@@ -407,10 +397,19 @@ OooCore::dispatch(Cycle now)
             }
         }
 
-        RobEntry e;
+        // Rename into the ROB tail slot in place; the slot is reused,
+        // so every field is written.
+        const uint64_t seq = rob_.tailPos();
+        RobEntry &e = rob_.pushBack();
         e.op = op;
-        e.seq = nextSeq_++;
+        e.dep1 = op.src1 >= 0 ? scoreboard_[op.src1] : 0;
+        e.dep2 = op.src2 >= 0 ? scoreboard_[op.src2] : 0;
+        e.storeDep = 0;
+        e.doneCycle = 0;
+        e.issued = false;
         e.mispredicted = f.mispredicted;
+        e.preferFast = false;
+        e.forwardable = false;
 
         // AdvHet dual-speed steering: an ALU producer whose consumer
         // appears within the next issue-width ops goes to the CMOS
@@ -430,11 +429,6 @@ OooCore::dispatch(Cycle now)
             }
         }
 
-        if (op.src1 >= 0)
-            e.dep1 = scoreboard_[op.src1];
-        if (op.src2 >= 0)
-            e.dep2 = scoreboard_[op.src2];
-
         if (op.cls == OpClass::Load) {
             // Perfect memory disambiguation against in-flight stores,
             // at byte granularity: the youngest store whose written
@@ -444,22 +438,22 @@ OooCore::dispatch(Cycle now)
             // then reads memory (no byte merging in the LSQ).
             const uint64_t lbeg = op.addr;
             const uint64_t lend = op.addr + op.accessSize;
-            for (auto it = storeQueue_.rbegin();
-                 it != storeQueue_.rend(); ++it) {
-                const uint64_t sbeg = it->addr;
-                const uint64_t send = it->addr + it->size;
+            for (size_t i = storeQueue_.size(); i-- > 0;) {
+                const StoreRec &st = storeQueue_[i];
+                const uint64_t sbeg = st.addr;
+                const uint64_t send = st.addr + st.size;
                 if (sbeg < lend && lbeg < send) {
-                    e.storeDep = it->seq;
+                    e.storeDep = st.seq;
                     e.forwardable = sbeg <= lbeg && lend <= send;
                     break;
                 }
             }
         } else if (op.cls == OpClass::Store) {
-            storeQueue_.push_back({e.seq, op.addr, op.accessSize});
+            storeQueue_.pushBack({seq, op.addr, op.accessSize});
         }
 
         if (op.dst >= 0) {
-            scoreboard_[op.dst] = e.seq;
+            scoreboard_[op.dst] = seq;
             if (op.dst < kNumIntRegs)
                 --freeIntRegs_;
             else
@@ -476,14 +470,12 @@ OooCore::dispatch(Cycle now)
 
         HETSIM_TRACE(traceBuf_, now, coreId_,
                      obs::TraceEvent::Dispatch, op.pc, 0);
-        iq_.push_back(e.seq);
+        iq_.push_back(seq);
         if (iq_.size() <= params_.issueReach)
             issueScanNeeded_ = true; // landed in the select window
-        rob_.push_back(e);
-        fetchQueue_.pop_front();
+        fetchQueue_.popFront();
         ++dispatched;
     }
-    (void)now;
 }
 
 void
@@ -647,7 +639,8 @@ OooCore::commit(Cycle now)
 {
     uint32_t committed = 0;
     while (committed < params_.commitWidth && !rob_.empty()) {
-        RobEntry &e = rob_.front();
+        const RobEntry &e = rob_.front();
+        const uint64_t seq = rob_.headPos();
         if (!e.issued || e.doneCycle > now)
             break;
 
@@ -655,16 +648,16 @@ OooCore::commit(Cycle now)
             // Drain the committed store into the memory system.
             hier_->access(coreId_, e.op.addr, AccessType::Store, now);
             hetsim_assert(!storeQueue_.empty() &&
-                          storeQueue_.front().seq == e.seq,
+                          storeQueue_.front().seq == seq,
                           "store queue out of order");
-            storeQueue_.pop_front();
+            storeQueue_.popFront();
             --lsqCount_;
         } else if (e.op.cls == OpClass::Load) {
             --lsqCount_;
         }
 
         if (e.op.dst >= 0) {
-            if (scoreboard_[e.op.dst] == e.seq)
+            if (scoreboard_[e.op.dst] == seq)
                 scoreboard_[e.op.dst] = 0;
             if (e.op.dst < kNumIntRegs)
                 ++freeIntRegs_;
@@ -676,7 +669,7 @@ OooCore::commit(Cycle now)
         ++committedOps_;
         HETSIM_TRACE(traceBuf_, now, coreId_,
                      obs::TraceEvent::Commit, e.op.pc, 0);
-        rob_.pop_front();
+        rob_.popFront();
         ++committed;
     }
 }
@@ -698,16 +691,15 @@ OooCore::releaseBarrier()
 bool
 OooCore::checkDependencyOrder() const
 {
-    for (const RobEntry &e : rob_) {
-        if (e.dep1 >= e.seq || e.dep2 >= e.seq ||
-            e.storeDep >= e.seq) {
-            if (e.dep1 >= e.seq && e.dep1 != 0)
-                return false;
-            if (e.dep2 >= e.seq && e.dep2 != 0)
-                return false;
-            if (e.storeDep >= e.seq && e.storeDep != 0)
-                return false;
-        }
+    // Seqs start at 1, so a ready (0) dependence always passes.
+    for (uint64_t seq = rob_.headPos(); seq < rob_.tailPos(); ++seq) {
+        const RobEntry &e = rob_.atPos(seq);
+        if (e.dep1 >= seq)
+            return false;
+        if (e.dep2 >= seq)
+            return false;
+        if (e.storeDep >= seq)
+            return false;
     }
     return true;
 }
@@ -769,19 +761,21 @@ OooCore::saveState(Serializer &ser) const
     ser.beginSection("core");
     ser.putU32(coreId_);
     ser.putU64(static_cast<uint64_t>(fetchQueue_.size()));
-    for (const FetchedOp &f : fetchQueue_) {
-        putMicroOp(ser, f.op);
-        ser.putBool(f.mispredicted);
+    for (size_t i = 0; i < fetchQueue_.size(); ++i) {
+        putMicroOp(ser, fetchQueue_[i].op);
+        ser.putBool(fetchQueue_[i].mispredicted);
     }
+    // The staged op, or a default op when nothing is staged (the
+    // staging slot then holds a stale op).
     ser.putBool(haveStaged_);
-    putMicroOp(ser, staged_);
+    putMicroOp(ser, haveStaged_ ? fetchQueue_.tailSlot().op : MicroOp{});
     ser.putBool(fetchBlocked_);
     ser.putU64(fetchResumeAt_);
     ser.putU64(fetchStallUntil_);
     ser.putU64(lastFetchLine_);
     ser.putBool(traceDone_);
     ser.putU64(traceConsumed_);
-    ser.putU64(nextSeq_);
+    ser.putU64(rob_.tailPos());
     ser.putBool(atBarrier_);
     ser.putU64(barrierParkedAt_);
     ser.putBool(atSync_);
@@ -808,22 +802,34 @@ OooCore::restoreState(Deserializer &des)
         des.fail("fetch queue overflow");
         return;
     }
-    fetchQueue_.clear();
+    fetchQueue_.reset();
     for (uint64_t i = 0; i < nfetched && des.ok(); ++i) {
-        FetchedOp f;
+        FetchedOp &f = fetchQueue_.pushBack();
         f.op = getMicroOp(des);
         f.mispredicted = des.getBool();
-        fetchQueue_.push_back(f);
     }
     haveStaged_ = des.getBool();
-    staged_ = getMicroOp(des);
+    const MicroOp staged = getMicroOp(des);
+    if (haveStaged_) {
+        // Fetch stages only into a queue with a free slot.
+        if (fetchQueue_.full()) {
+            des.fail("staged op behind a full fetch queue");
+            return;
+        }
+        fetchQueue_.tailSlot().op = staged;
+    }
     fetchBlocked_ = des.getBool();
     fetchResumeAt_ = des.getU64();
     fetchStallUntil_ = des.getU64();
     lastFetchLine_ = des.getU64();
     traceDone_ = des.getBool();
     traceConsumed_ = des.getU64();
-    nextSeq_ = des.getU64();
+    const uint64_t next_seq = des.getU64();
+    if (next_seq == 0) {
+        des.fail("sequence numbers start at 1");
+        return;
+    }
+    rob_.reset(next_seq);
     atBarrier_ = des.getBool();
     barrierParkedAt_ = des.getU64();
     atSync_ = des.getBool();

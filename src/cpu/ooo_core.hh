@@ -22,9 +22,9 @@
 #define HETSIM_CPU_OOO_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "common/ring_buffer.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "cpu/branch_pred.hh"
@@ -185,10 +185,11 @@ class OooCore
     /** @} */
 
   private:
+    /** One ROB slot. Its sequence number is its ring position (see
+     *  rob_), so the entry does not store it. */
     struct RobEntry
     {
         MicroOp op;
-        uint64_t seq = 0;
         uint64_t dep1 = 0;     ///< Producer seq of src1 (0 = ready).
         uint64_t dep2 = 0;
         uint64_t storeDep = 0; ///< Older overlapping store (loads).
@@ -223,8 +224,18 @@ class OooCore
     void issue(mem::Cycle now);
     void commit(mem::Cycle now);
 
-    RobEntry *entryBySeq(uint64_t seq);
-    const RobEntry *entryBySeq(uint64_t seq) const;
+    /** The in-flight entry of `seq`, or null once it has committed
+     *  (or before it dispatches). */
+    RobEntry *
+    entryBySeq(uint64_t seq)
+    {
+        return rob_.holds(seq) ? &rob_.atPos(seq) : nullptr;
+    }
+    const RobEntry *
+    entryBySeq(uint64_t seq) const
+    {
+        return rob_.holds(seq) ? &rob_.atPos(seq) : nullptr;
+    }
     void countRegAccess(const MicroOp &op);
     DispatchGate dispatchGate() const;
 
@@ -243,10 +254,14 @@ class OooCore
     };
 
     // Front end.
-    std::deque<FetchedOp> fetchQueue_;
-    bool haveStaged_ = false;
-    MicroOp staged_;           ///< Op pulled from the trace, not yet
-                               ///< accepted into the fetch queue.
+    /** Fetched ops awaiting dispatch. An op pulled from the trace is
+     *  written straight into the queue's tail slot and stays there,
+     *  staged, until fetch accepts it (pushBack), so it is copied
+     *  once on its way to the ROB. */
+    RingBuffer<FetchedOp> fetchQueue_;
+    bool haveStaged_ = false;  ///< fetchQueue_.tailSlot() holds an op
+                               ///< pulled from the trace, not yet
+                               ///< accepted into the queue.
     bool fetchBlocked_ = false;   ///< Waiting on a mispredicted branch.
     mem::Cycle fetchResumeAt_ = 0; ///< 0 = blocking branch not issued.
     mem::Cycle fetchStallUntil_ = 0; ///< IL1 miss stall.
@@ -256,9 +271,14 @@ class OooCore
     uint64_t traceConsumed_ = 0; ///< Successful trace_->next() calls.
 
     // Back end.
-    std::deque<RobEntry> rob_;
+    /** Reorder buffer. Ring positions are sequence numbers: the ring
+     *  starts at seq 1 (0 means "no producer"), headPos() is the
+     *  oldest in-flight seq and tailPos() the next seq to dispatch,
+     *  so a seq is in flight iff headPos() <= seq < tailPos() and
+     *  lives in slot seq & mask (capacity: robSize rounded up to a
+     *  power of two). */
+    RingBuffer<RobEntry> rob_;
     std::vector<uint64_t> iq_; ///< Seqs waiting to issue, program order.
-    uint64_t nextSeq_ = 1;
     std::vector<uint64_t> scoreboard_; ///< Logical reg -> producer seq.
     uint32_t freeIntRegs_;
     uint32_t freeFpRegs_;
@@ -285,7 +305,7 @@ class OooCore
         uint64_t addr; ///< First byte written.
         uint8_t size;  ///< Bytes written.
     };
-    std::deque<StoreRec> storeQueue_;
+    RingBuffer<StoreRec> storeQueue_; ///< Bounded by lsqSize.
 
     uint64_t committedOps_ = 0;
     power::CpuActivity activity_{};
