@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
@@ -24,76 +25,84 @@ Cache::CacheCounters::CacheCounters(StatGroup &sg)
 {
 }
 
-Cache::Cache(const CacheParams &params)
-    : params_(params), stats_(params.name), ctrs_(stats_)
+SetFold::SetFold(uint32_t num_sets)
+    : numSets_(num_sets), pow2_((num_sets & (num_sets - 1)) == 0)
 {
-    hetsim_assert(params_.lineBytes > 0 &&
-                  (params_.lineBytes & (params_.lineBytes - 1)) == 0,
+    hetsim_assert(num_sets >= 1, "cache needs at least one set");
+    if (pow2_) {
+        shift_ = static_cast<uint32_t>(std::countr_zero(num_sets));
+        mask_ = num_sets - 1;
+    }
+}
+
+SetAndTag
+SetFold::locateByDivision(Addr addr, uint32_t num_sets)
+{
+    const uint64_t line = lineNumber(addr);
+    const uint64_t low = line % num_sets;
+    const uint64_t tag = line / num_sets;
+    return {static_cast<uint32_t>((low + tag) % num_sets), tag};
+}
+
+Addr
+SetFold::rebuildByDivision(uint32_t set, Addr tag, uint32_t num_sets)
+{
+    // Invert the additive fold.
+    const uint64_t t = tag % num_sets;
+    const uint32_t low = static_cast<uint32_t>(
+        (set + num_sets - t) % num_sets);
+    return ((tag * num_sets) + low) << kLineShift;
+}
+
+namespace
+{
+
+uint32_t
+setsOf(const CacheParams &p)
+{
+    hetsim_assert(p.lineBytes > 0 && (p.lineBytes & (p.lineBytes - 1)) == 0,
                   "line size must be a power of two");
-    hetsim_assert(params_.ways > 0, "cache needs at least one way");
-    hetsim_assert(params_.sizeBytes % (params_.ways * params_.lineBytes)
-                  == 0, "size not divisible into sets");
-    numSets_ = params_.sizeBytes / (params_.ways * params_.lineBytes);
-    hetsim_assert(numSets_ >= 1, "cache needs at least one set");
+    hetsim_assert(p.ways > 0, "cache needs at least one way");
+    hetsim_assert(p.sizeBytes % (p.ways * p.lineBytes) == 0,
+                  "size not divisible into sets");
+    const uint32_t sets = p.sizeBytes / (p.ways * p.lineBytes);
+    hetsim_assert(sets >= 1, "cache needs at least one set");
+    return sets;
+}
+
+} // namespace
+
+Cache::Cache(const CacheParams &params)
+    : params_(params), numSets_(setsOf(params)), fold_(numSets_),
+      stats_(params.name), ctrs_(stats_)
+{
     lines_.resize(static_cast<size_t>(numSets_) * params_.ways);
 }
 
-uint32_t
-Cache::setIndex(Addr addr) const
-{
-    // Additively folded index (as in real shared caches): regions
-    // whose bases differ only in high bits spread over all sets
-    // instead of aliasing into the same ones. The additive fold is
-    // invertible for any set count, so non-power-of-two shared
-    // caches (e.g. a 7-core L3) work too.
-    const uint64_t line = lineNumber(addr);
-    const uint64_t low = line % numSets_;
-    const uint64_t tag = line / numSets_;
-    return static_cast<uint32_t>((low + tag) % numSets_);
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return lineNumber(addr) / numSets_;
-}
-
-Addr
-Cache::rebuildAddr(uint32_t set, Addr tag) const
-{
-    // Invert the additive fold.
-    const uint64_t t = tag % numSets_;
-    const uint32_t low = static_cast<uint32_t>(
-        (set + numSets_ - t) % numSets_);
-    return ((tag * numSets_) + low) << kLineShift;
-}
-
 Cache::Line *
-Cache::findLine(Addr addr)
+Cache::findLine(SetAndTag at)
 {
-    const uint32_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    Line *base = &lines_[static_cast<size_t>(set) * params_.ways];
+    Line *base = setBase(at.set);
     for (uint32_t w = 0; w < params_.ways; ++w) {
-        if (base[w].valid() && base[w].tag == tag)
+        if (base[w].valid() && base[w].tag == at.tag)
             return &base[w];
     }
     return nullptr;
 }
 
 const Cache::Line *
-Cache::findLine(Addr addr) const
+Cache::findLine(SetAndTag at) const
 {
-    return const_cast<Cache *>(this)->findLine(addr);
+    return const_cast<Cache *>(this)->findLine(at);
 }
 
 LookupResult
 Cache::access(Addr addr)
 {
     ++ctrs_.accesses;
-    const uint32_t set = setIndex(addr);
-    Line *base = &lines_[static_cast<size_t>(set) * params_.ways];
-    Line *line = findLine(addr);
+    const SetAndTag at = fold_.locate(addr);
+    Line *base = setBase(at.set);
+    Line *line = findLine(at);
     if (!line) {
         ++ctrs_.misses;
         return {};
@@ -123,9 +132,9 @@ Cache::access(Addr addr)
 LookupResult
 Cache::probe(Addr addr) const
 {
-    const uint32_t set = setIndex(addr);
-    const Line *base = &lines_[static_cast<size_t>(set) * params_.ways];
-    const Line *line = findLine(addr);
+    const SetAndTag at = fold_.locate(addr);
+    const Line *base = setBase(at.set);
+    const Line *line = findLine(at);
     if (!line)
         return {};
     return {true, params_.asymmetric && line == &base[0], line->state};
@@ -136,12 +145,12 @@ Cache::fill(Addr addr, CoherenceState state)
 {
     hetsim_assert(state != CoherenceState::Invalid,
                   "cannot fill an invalid line");
-    hetsim_assert(!contains(addr), "double fill of %llx",
+    const SetAndTag at = fold_.locate(addr);
+    hetsim_assert(findLine(at) == nullptr, "double fill of %llx",
                   static_cast<unsigned long long>(addr));
     ++ctrs_.fills;
 
-    const uint32_t set = setIndex(addr);
-    Line *base = &lines_[static_cast<size_t>(set) * params_.ways];
+    Line *base = setBase(at.set);
 
     // Pick the victim: an invalid way if any, else the LRU way among
     // the replacement candidates (the slow ways for asymmetric caches;
@@ -166,7 +175,7 @@ Cache::fill(Addr addr, CoherenceState state)
     Eviction ev;
     if (victim->valid()) {
         ev.valid = true;
-        ev.lineAddr = rebuildAddr(set, victim->tag);
+        ev.lineAddr = fold_.rebuild(at.set, victim->tag);
         ev.dirty = victim->dirty;
         ev.state = victim->state;
         ++ctrs_.evictions;
@@ -175,7 +184,7 @@ Cache::fill(Addr addr, CoherenceState state)
     }
 
     Line incoming;
-    incoming.tag = tagOf(addr);
+    incoming.tag = at.tag;
     incoming.state = state;
     incoming.dirty = false;
     incoming.lruStamp = ++stampCounter_;
@@ -270,11 +279,10 @@ Cache::residentAddrs() const
 {
     std::vector<Addr> out;
     for (uint32_t set = 0; set < numSets_; ++set) {
-        const Line *base = &lines_[static_cast<size_t>(set)
-                                   * params_.ways];
+        const Line *base = setBase(set);
         for (uint32_t w = 0; w < params_.ways; ++w)
             if (base[w].valid())
-                out.push_back(rebuildAddr(set, base[w].tag));
+                out.push_back(fold_.rebuild(set, base[w].tag));
     }
     return out;
 }

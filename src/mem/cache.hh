@@ -51,6 +51,64 @@ struct Eviction
     CoherenceState state = CoherenceState::Invalid;
 };
 
+/** Where an address lives in a cache: its set and its tag. */
+struct SetAndTag
+{
+    uint32_t set;
+    Addr tag;
+};
+
+/**
+ * Additively folded set indexing: tag = line / sets, set = (line %
+ * sets + tag) % sets. Regions whose bases differ only in high bits
+ * spread over all sets instead of aliasing into the same ones, as in
+ * real shared caches. The fold is invertible for any set count, so
+ * non-power-of-two shared caches (e.g. a 7-core L3) work too. With a
+ * power-of-two set count, which covers every private cache, the same
+ * fold is a shift and a mask.
+ */
+class SetFold
+{
+  public:
+    explicit SetFold(uint32_t num_sets);
+
+    SetAndTag
+    locate(Addr addr) const
+    {
+        if (!pow2_)
+            return locateByDivision(addr, numSets_);
+        // (line % sets + tag) % sets == (line + tag) & mask: the low
+        // bits of `line` are line % sets, and masking the sum drops
+        // the multiples of sets.
+        const uint64_t line = lineNumber(addr);
+        const uint64_t tag = line >> shift_;
+        return {static_cast<uint32_t>((line + tag) & mask_), tag};
+    }
+
+    /** Line address of the line at (set, tag): inverts locate(). */
+    Addr
+    rebuild(uint32_t set, Addr tag) const
+    {
+        if (!pow2_)
+            return rebuildByDivision(set, tag, numSets_);
+        const uint64_t low = (set - tag) & mask_;
+        return ((tag << shift_) | low) << kLineShift;
+    }
+
+    /** The fold by division, for any set count: the definition the
+     *  power-of-two path must match. @{ */
+    static SetAndTag locateByDivision(Addr addr, uint32_t num_sets);
+    static Addr rebuildByDivision(uint32_t set, Addr tag,
+                                  uint32_t num_sets);
+    /** @} */
+
+  private:
+    uint32_t numSets_;
+    bool pow2_;
+    uint32_t shift_ = 0; ///< log2(numSets_) (power-of-two only).
+    uint64_t mask_ = 0;  ///< numSets_ - 1 (power-of-two only).
+};
+
 /** Tag/state array of one cache level. */
 class Cache
 {
@@ -132,14 +190,30 @@ class Cache
         bool valid() const { return state != CoherenceState::Invalid; }
     };
 
-    uint32_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-    Addr rebuildAddr(uint32_t set, Addr tag) const;
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    /** First way of a set (the row is `ways` lines). @{ */
+    Line *
+    setBase(uint32_t set)
+    {
+        return &lines_[static_cast<size_t>(set) * params_.ways];
+    }
+    const Line *
+    setBase(uint32_t set) const
+    {
+        return &lines_[static_cast<size_t>(set) * params_.ways];
+    }
+    /** @} */
+    Line *findLine(SetAndTag at);
+    const Line *findLine(SetAndTag at) const;
+    Line *findLine(Addr addr) { return findLine(fold_.locate(addr)); }
+    const Line *
+    findLine(Addr addr) const
+    {
+        return findLine(fold_.locate(addr));
+    }
 
     CacheParams params_;
     uint32_t numSets_;
+    SetFold fold_;
     uint64_t stampCounter_ = 0;
     std::vector<Line> lines_; ///< numSets_ x ways, row-major.
     StatGroup stats_;
