@@ -19,6 +19,23 @@ namespace hetsim
 {
 
 /**
+ * Parameters of a geometric distribution with success probability p,
+ * with log1p(-p) computed once. A generator that draws from the same
+ * distribution millions of times keeps one of these instead of paying
+ * for the logarithm on every draw.
+ */
+struct GeometricDist
+{
+    explicit GeometricDist(double p_)
+        : p(p_), log1pNegP(p_ < 1.0 ? std::log1p(-p_) : 0.0)
+    {
+    }
+
+    double p;
+    double log1pNegP; ///< log1p(-p); unused when p >= 1.
+};
+
+/**
  * Deterministic random number generator (xoshiro256**).
  *
  * A freshly constructed Rng with the same seed always produces the same
@@ -107,14 +124,22 @@ class Rng
     uint64_t
     geometric(double p)
     {
-        assert(p > 0.0 && p <= 1.0);
-        if (p >= 1.0)
+        return geometric(GeometricDist(p));
+    }
+
+    /** geometric(d.p) with the precomputed logarithm: the same draw,
+     *  bit for bit. */
+    uint64_t
+    geometric(const GeometricDist &d)
+    {
+        assert(d.p > 0.0 && d.p <= 1.0);
+        if (d.p >= 1.0)
             return 1;
         double u = uniform();
         // Avoid log(0).
         if (u <= 0.0)
             u = 0x1.0p-53;
-        return 1 + static_cast<uint64_t>(std::log(u) / std::log1p(-p));
+        return 1 + static_cast<uint64_t>(std::log(u) / d.log1pNegP);
     }
 
     /**

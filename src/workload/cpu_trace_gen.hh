@@ -92,6 +92,11 @@ class SyntheticCpuTrace : public cpu::TraceSource
     const AppProfile &profile_;
     uint32_t threadId_;
     hetsim::Rng rng_;
+    /** Producer-consumer distance distributions of pickIntSrc and
+     *  pickFpSrc. @{ */
+    hetsim::GeometricDist intDepDist_;
+    hetsim::GeometricDist fpDepDist_;
+    /** @} */
 
     uint64_t parallelOpsPerPhase_;
     uint64_t serialOpsPerPhase_;
