@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks of the simulation substrate itself:
  * cache access throughput, branch-predictor throughput, OoO core
- * simulation speed, and GPU compute-unit simulation speed. These guard
+ * simulation speed (whole chip, and one pipeline with all-hit caches),
+ * and GPU compute-unit simulation speed. These guard
  * against performance regressions in the simulator (the figure benches
  * above measure the *simulated* machine, not the simulator).
  */
@@ -14,6 +15,7 @@
 #include "core/configs.hh"
 #include "cpu/branch_pred.hh"
 #include "cpu/multicore.hh"
+#include "cpu/ooo_core.hh"
 #include "gpu/gpu.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
@@ -21,6 +23,7 @@
 #include "workload/cpu_trace_gen.hh"
 #include "workload/gpu_kernel_gen.hh"
 #include "workload/gpu_profiles.hh"
+#include "workload/vector_trace.hh"
 
 using namespace hetsim;
 
@@ -139,6 +142,87 @@ BM_OooCoreSimulation(benchmark::State &state)
     }
 }
 BENCHMARK(BM_OooCoreSimulation)->Unit(benchmark::kMillisecond);
+
+/** A loop body repeated over and over: a mix of dependent ALU, FP,
+ *  load and store ops whose code and data fit in a few cache lines,
+ *  closed by an always-taken backward branch. */
+std::vector<cpu::MicroOp>
+pipelineProgram(size_t iterations)
+{
+    constexpr int kBodyOps = 63;
+    constexpr uint64_t kCodeBase = 0x1000;
+    constexpr uint64_t kDataBase = 0x100000;
+    Rng rng(11);
+    std::vector<cpu::MicroOp> body;
+    for (int i = 0; i < kBodyOps; ++i) {
+        cpu::MicroOp op;
+        op.pc = kCodeBase + 4 * static_cast<uint64_t>(i);
+        const double r = rng.uniform();
+        if (r < 0.25) {
+            op.cls = cpu::OpClass::Load;
+            op.addr = kDataBase + rng.range(64) * 8;
+            op.dst = static_cast<int16_t>(1 + rng.range(30));
+            op.src1 = static_cast<int16_t>(rng.range(31));
+        } else if (r < 0.35) {
+            op.cls = cpu::OpClass::Store;
+            op.addr = kDataBase + rng.range(64) * 8;
+            op.src1 = static_cast<int16_t>(rng.range(31));
+            op.src2 = static_cast<int16_t>(rng.range(31));
+        } else if (r < 0.5) {
+            op.cls = rng.chance(0.5) ? cpu::OpClass::FpAdd
+                                     : cpu::OpClass::FpMult;
+            op.dst = static_cast<int16_t>(
+                cpu::kNumIntRegs + 1 + rng.range(30));
+            op.src1 = static_cast<int16_t>(
+                cpu::kNumIntRegs + rng.range(31));
+            op.src2 = static_cast<int16_t>(
+                cpu::kNumIntRegs + rng.range(31));
+        } else {
+            op.cls = cpu::OpClass::IntAlu;
+            op.dst = static_cast<int16_t>(1 + rng.range(30));
+            op.src1 = static_cast<int16_t>(rng.range(31));
+            op.src2 = static_cast<int16_t>(rng.range(31));
+        }
+        body.push_back(op);
+    }
+    cpu::MicroOp back;
+    back.cls = cpu::OpClass::Branch;
+    back.pc = kCodeBase + 4 * kBodyOps;
+    back.taken = true;
+    back.target = kCodeBase;
+    body.push_back(back);
+
+    std::vector<cpu::MicroOp> ops;
+    ops.reserve(body.size() * iterations);
+    for (size_t i = 0; i < iterations; ++i)
+        ops.insert(ops.end(), body.begin(), body.end());
+    return ops;
+}
+
+void
+BM_OooCorePipeline(benchmark::State &state)
+{
+    // Simulated ops per second of one OooCore with the memory layer
+    // out of the way: the program's code and data stay resident in
+    // IL1/DL1, so after the first iteration every access hits and the
+    // time goes to fetch, dispatch, issue and commit.
+    workload::VectorTrace trace(pipelineProgram(2000));
+    mem::HierarchyParams mem_params;
+    mem_params.numCores = 1;
+    mem::MemHierarchy hier(mem_params);
+    mem::Cycle now = 0;
+    uint64_t ops = 0;
+    for (auto _ : state) {
+        trace.reset();
+        cpu::OooCore core(cpu::CoreParams{}, 0, &hier, &trace);
+        while (!core.finished())
+            core.tick(now++);
+        ops += core.committedOps();
+        benchmark::DoNotOptimize(core.committedOps());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(ops));
+}
+BENCHMARK(BM_OooCorePipeline)->Unit(benchmark::kMillisecond);
 
 void
 BM_GpuSimulation(benchmark::State &state)
