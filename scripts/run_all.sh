@@ -86,6 +86,22 @@ build/examples/hetsim_cli run --config BaseHet --app lock_heavy \
       --scale 0.2 --no-skip 1 --report-json build/skip_lock_b.json \
       > /dev/null
 cmp build/skip_lock_a.json build/skip_lock_b.json
+# AdvHet steers ALU producers by reading the ops queued behind them in
+# the fetch queue, and AdvHet-2X runs that pipeline on 8 cores; both
+# must skip invisibly as well. (Cores on a tick divisor > 1 exist only
+# in the HetCMP study, which test_skip covers.)
+build/examples/hetsim_cli run --config AdvHet --app fft \
+      --scale 0.05 --report-json build/skip_steer_a.json > /dev/null
+build/examples/hetsim_cli run --config AdvHet --app fft \
+      --scale 0.05 --no-skip 1 --report-json build/skip_steer_b.json \
+      > /dev/null
+cmp build/skip_steer_a.json build/skip_steer_b.json
+build/examples/hetsim_cli run --config AdvHet-2X --app lu \
+      --scale 0.05 --report-json build/skip_2x_a.json > /dev/null
+build/examples/hetsim_cli run --config AdvHet-2X --app lu \
+      --scale 0.05 --no-skip 1 --report-json build/skip_2x_b.json \
+      > /dev/null
+cmp build/skip_2x_a.json build/skip_2x_b.json
 
 # Durable-store smoke: a warm rerun against the result store must be
 # byte-identical to the cold run that populated it, for single runs

@@ -74,8 +74,6 @@ class RingBuffer
 
     T &front() { return atPos(head_); }
     const T &front() const { return atPos(head_); }
-    T &back() { return atPos(tail_ - 1); }
-    const T &back() const { return atPos(tail_ - 1); }
 
     /** Make the tail slot live and return it, holding its stale
      *  contents, for the caller to overwrite. */

@@ -108,6 +108,16 @@ class OooCore
     size_t lsqOccupancy() const { return lsqCount_; }
     /** @} */
 
+    /** In-flight sequence-number window, exposed for tests: seq s is
+     *  in flight iff oldestSeq() <= s < nextSeq(). @{ */
+    uint64_t oldestSeq() const { return rob_.headPos(); }
+    uint64_t nextSeq() const { return rob_.tailPos(); }
+    bool seqInFlight(uint64_t seq) const
+    {
+        return entryBySeq(seq) != nullptr;
+    }
+    /** @} */
+
     /** Trace fully consumed and pipeline drained. */
     bool finished() const;
 

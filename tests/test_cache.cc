@@ -372,3 +372,27 @@ TEST_P(CacheRefModelTest, AsymmetricSameHitMissAsLru)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheRefModelTest,
                          ::testing::Values(1, 2, 3, 42, 99, 1234));
+
+/** The shift/mask path of the set fold agrees with the division form
+ *  of the same fold, in both directions, for random addresses. */
+TEST(SetFold, PowerOfTwoPathMatchesDivisionFold)
+{
+    Rng rng(2024);
+    for (uint32_t sets : {1u, 64u, 7u}) {
+        const SetFold fold(sets);
+        for (int i = 0; i < 100000; ++i) {
+            // Mix full-range addresses with small ones.
+            const Addr a = i % 2 ? rng.next()
+                                 : rng.range(1 << 24);
+            const SetAndTag got = fold.locate(a);
+            const SetAndTag want = SetFold::locateByDivision(a, sets);
+            ASSERT_EQ(got.set, want.set) << sets << " sets, " << a;
+            ASSERT_EQ(got.tag, want.tag) << sets << " sets, " << a;
+            ASSERT_LT(got.set, sets);
+            ASSERT_EQ(fold.rebuild(got.set, got.tag),
+                      SetFold::rebuildByDivision(want.set, want.tag,
+                                                 sets));
+            ASSERT_EQ(fold.rebuild(got.set, got.tag), lineAlign(a));
+        }
+    }
+}

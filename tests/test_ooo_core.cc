@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "common/rng.hh"
+#include "common/serialize.hh"
 #include "cpu/ooo_core.hh"
 #include "mem/hierarchy.hh"
 #include "workload/vector_trace.hh"
@@ -531,4 +532,140 @@ TEST(OooCore, IncrementalOccupancyMatchesPerCycleWalk)
     EXPECT_GT(rob_occ, 0u);
     EXPECT_GT(iq_occ, 0u);
     EXPECT_GT(lsq_occ, 0u);
+}
+
+namespace
+{
+
+/** A random load/store/ALU/FP mix over a 256 KiB region. */
+std::vector<MicroOp>
+randomMix(uint64_t seed, int n)
+{
+    Rng rng(seed);
+    std::vector<MicroOp> ops;
+    for (int i = 0; i < n; ++i) {
+        const double r = rng.uniform();
+        const uint64_t pc = 0x1000 + 4 * static_cast<uint64_t>(i % 512);
+        if (r < 0.25) {
+            MicroOp op = load(1 + static_cast<int16_t>(rng.range(30)),
+                              0x200000 + rng.range(1 << 15) * 8,
+                              static_cast<int16_t>(rng.range(31)));
+            op.pc = pc;
+            ops.push_back(op);
+        } else if (r < 0.35) {
+            MicroOp op = store(0x200000 + rng.range(1 << 15) * 8,
+                               static_cast<int16_t>(rng.range(31)));
+            op.pc = pc;
+            ops.push_back(op);
+        } else if (r < 0.45) {
+            MicroOp op;
+            op.cls = OpClass::FpMult;
+            op.dst = static_cast<int16_t>(kNumIntRegs + 1 +
+                                          rng.range(30));
+            op.src1 = static_cast<int16_t>(kNumIntRegs + rng.range(31));
+            op.pc = pc;
+            ops.push_back(op);
+        } else {
+            ops.push_back(alu(1 + static_cast<int16_t>(rng.range(30)),
+                              static_cast<int16_t>(rng.range(31)),
+                              static_cast<int16_t>(rng.range(31)), pc));
+        }
+    }
+    return ops;
+}
+
+/** The ROB ring's slot count for the default 160-entry ROB. */
+constexpr uint64_t kRobRing = 256;
+
+} // namespace
+
+TEST(OooCore, RobSeqWindowSurvivesManyRingWraps)
+{
+    // 6000 ops through the 256-slot ROB ring wrap it ~23 times. On
+    // every cycle exactly the seqs in [oldestSeq, nextSeq) are found:
+    // not committed seqs, not future seqs, and not the seqs that
+    // share a slot with a live one.
+    const std::vector<MicroOp> ops = randomMix(3, 6000);
+    CoreRig rig(ops);
+    mem::Cycle now = 0;
+    while (!rig.core.finished() && now < 1000000) {
+        rig.core.tick(now++);
+        const uint64_t lo = rig.core.oldestSeq();
+        const uint64_t hi = rig.core.nextSeq();
+        ASSERT_GE(lo, 1u);
+        ASSERT_LE(hi - lo, CoreParams{}.robSize);
+        ASSERT_EQ(hi - lo, rig.core.robOccupancy());
+        for (uint64_t s = lo; s < hi; ++s)
+            ASSERT_TRUE(rig.core.seqInFlight(s)) << s;
+        ASSERT_FALSE(rig.core.seqInFlight(0));
+        ASSERT_FALSE(rig.core.seqInFlight(hi));
+        ASSERT_FALSE(rig.core.seqInFlight(hi + kRobRing - 1));
+        ASSERT_FALSE(rig.core.seqInFlight(lo + kRobRing));
+        if (lo > 1) {
+            ASSERT_FALSE(rig.core.seqInFlight(lo - 1));
+        }
+        if (lo > kRobRing) {
+            ASSERT_FALSE(rig.core.seqInFlight(lo - kRobRing));
+        }
+        ASSERT_TRUE(rig.core.checkDependencyOrder());
+    }
+    ASSERT_TRUE(rig.core.finished());
+    EXPECT_EQ(rig.core.committedOps(), ops.size());
+    EXPECT_EQ(rig.core.nextSeq(), ops.size() + 1);
+    EXPECT_GT(rig.core.nextSeq(), 20 * kRobRing);
+}
+
+TEST(OooCore, CheckpointAtUnalignedSeqResumesByteIdentical)
+{
+    // Drain and checkpoint mid-run, after the ROB ring has wrapped and
+    // at a seq that is not a multiple of the ring size, then compare
+    // the run that continues against a fresh core restored from the
+    // checkpoint: the full core and hierarchy state at the end (stats,
+    // activity, front end, seq counter) must be the same bytes.
+    const std::vector<MicroOp> ops = randomMix(9, 4000);
+    constexpr mem::Cycle kGateAt = 1500;
+
+    CoreRig ref(ops);
+    mem::Cycle now = 0;
+    while (now < kGateAt)
+        ref.core.tick(now++);
+    ref.core.setDrainGate(true);
+    while (!ref.core.quiescedForCheckpoint())
+        ref.core.tick(now++);
+    ASSERT_FALSE(ref.core.finished());
+    const mem::Cycle resume_at = now;
+    const uint64_t seq_at_ckpt = ref.core.nextSeq();
+    ASSERT_GT(seq_at_ckpt, kRobRing);
+    ASSERT_NE(seq_at_ckpt % kRobRing, 0u);
+
+    Serializer ckpt;
+    ref.hier.saveState(ckpt);
+    ref.core.saveState(ckpt);
+
+    ref.core.setDrainGate(false);
+    while (!ref.core.finished() && now < 1000000)
+        ref.core.tick(now++);
+    ASSERT_TRUE(ref.core.finished());
+    const mem::Cycle ref_end = now;
+
+    CoreRig resumed(ops);
+    Deserializer des(ckpt.data());
+    resumed.hier.restoreState(des);
+    resumed.core.restoreState(des);
+    ASSERT_TRUE(des.ok()) << des.status().toString();
+    EXPECT_EQ(resumed.core.nextSeq(), seq_at_ckpt);
+    EXPECT_EQ(resumed.core.oldestSeq(), seq_at_ckpt);
+    now = resume_at;
+    while (!resumed.core.finished() && now < 1000000)
+        resumed.core.tick(now++);
+    ASSERT_TRUE(resumed.core.finished());
+    EXPECT_EQ(now, ref_end);
+    EXPECT_EQ(resumed.core.committedOps(), ops.size());
+
+    Serializer end_ref, end_resumed;
+    ref.hier.saveState(end_ref);
+    ref.core.saveState(end_ref);
+    resumed.hier.saveState(end_resumed);
+    resumed.core.saveState(end_resumed);
+    EXPECT_EQ(end_ref.data(), end_resumed.data());
 }

@@ -173,3 +173,18 @@ TEST_P(RngSeedTest, HealthyStream)
 INSTANTIATE_TEST_SUITE_P(Seeds, RngSeedTest,
                          ::testing::Values(0, 1, 2, 42, 1337,
                                            0xdeadbeef, ~0ull));
+
+TEST(Rng, PrecomputedGeometricMatchesGeometricBitForBit)
+{
+    // The trace generator draws dependence distances through a
+    // GeometricDist with log1p(-p) computed once; every draw must be
+    // the value geometric(p) gives from the same stream state.
+    for (double p : {0.05, 0.105, 0.3, 0.35, 0.5, 0.9, 0.999, 1.0}) {
+        const hetsim::GeometricDist dist(p);
+        Rng a(17), b(17);
+        for (int i = 0; i < 100000; ++i)
+            ASSERT_EQ(a.geometric(p), b.geometric(dist))
+                << "p=" << p << " draw " << i;
+        EXPECT_EQ(a.next(), b.next()) << "streams diverged, p=" << p;
+    }
+}

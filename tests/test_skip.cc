@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/file.hh"
+#include "common/serialize.hh"
 #include "core/configs.hh"
 #include "core/dse.hh"
 #include "core/experiment.hh"
@@ -98,7 +99,8 @@ runMulticore(CpuConfig cfg, const char *app, bool skip)
 TEST(Skip, CpuReportsBitIdentical)
 {
     // Covers a memory-bound app (canneal), a compute app (fft), and
-    // a heterogeneous-divisor config (AdvHet2X mixes tick grids).
+    // the 8-core AdvHet2X chip. Tick divisors > 1 are covered by
+    // TickDivisorChipBitIdentical.
     const struct
     {
         CpuConfig cfg;
@@ -114,6 +116,42 @@ TEST(Skip, CpuReportsBitIdentical)
         EXPECT_EQ(cpuReportJson(c.cfg, c.app, false),
                   cpuReportJson(c.cfg, c.app, true));
     }
+}
+
+TEST(Skip, TickDivisorChipBitIdentical)
+{
+    // A two-core chip whose second core ticks every other chip cycle,
+    // as the TFET cores of the HetCMP study do. Skipping must land
+    // each core back on its own tick grid: the results and the full
+    // end state of every core and the hierarchy must be identical.
+    auto run = [](bool skip, std::string *state) {
+        cpu::MulticoreParams p = makeCpuConfig(CpuConfig::AdvHet).sim;
+        p.mem.numCores = 2;
+        p.coreSpecs = {{p.core, 1}, {p.core, 2}};
+        p.skipEnabled = skip;
+        auto traces = workload::makeCpuWorkload(
+            workload::cpuApp("canneal"), 2, 1, 0.03);
+        std::vector<cpu::TraceSource *> ptrs;
+        for (auto &t : traces)
+            ptrs.push_back(t.get());
+        cpu::Multicore mc(p, ptrs);
+        const cpu::MulticoreResult res = mc.run();
+        Serializer ser;
+        mc.hierarchy().saveState(ser);
+        for (uint32_t c = 0; c < 2; ++c)
+            mc.core(c).saveState(ser);
+        *state = ser.data();
+        return res;
+    };
+    std::string state_on, state_off;
+    const cpu::MulticoreResult on = run(true, &state_on);
+    const cpu::MulticoreResult off = run(false, &state_off);
+    EXPECT_GT(on.skippedCycles, 0u);
+    EXPECT_EQ(on.cycles, off.cycles);
+    EXPECT_EQ(on.committedOps, off.committedOps);
+    for (int i = 0; i < power::kNumCpuUnits; ++i)
+        EXPECT_EQ(on.activity[i], off.activity[i]) << "unit " << i;
+    EXPECT_EQ(state_on, state_off);
 }
 
 TEST(Skip, CpuRunActuallySkips)
