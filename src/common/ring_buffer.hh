@@ -14,7 +14,9 @@
  *
  * Slots are reused, not destroyed: popFront() only advances the head,
  * and pushBack() hands back the tail slot still holding whatever it
- * held before, for the caller to overwrite in place.
+ * held before, for the caller to overwrite in place. The slot array is
+ * allocated on the first push or tailSlot() call, not at construction,
+ * so building a chip costs no more than it did with growing deques.
  */
 
 #ifndef HETSIM_COMMON_RING_BUFFER_HH
@@ -37,15 +39,15 @@ class RingBuffer
     /** Room for at least `min_capacity` entries (rounded up to a
      *  power of two), starting empty at position `start`. */
     explicit RingBuffer(size_t min_capacity, uint64_t start = 0)
-        : slots_(std::bit_ceil(min_capacity < 1 ? size_t{1}
-                                                : min_capacity)),
-          mask_(slots_.size() - 1), head_(start), tail_(start)
+        : capacity_(std::bit_ceil(min_capacity < 1 ? size_t{1}
+                                                   : min_capacity)),
+          mask_(capacity_ - 1), head_(start), tail_(start)
     {
     }
 
     bool empty() const { return head_ == tail_; }
     size_t size() const { return static_cast<size_t>(tail_ - head_); }
-    size_t capacity() const { return slots_.size(); }
+    size_t capacity() const { return capacity_; }
     bool full() const { return size() == capacity(); }
 
     /** Oldest live position, and one past the youngest. @{ */
@@ -67,8 +69,15 @@ class RingBuffer
     const T &operator[](size_t i) const { return atPos(head_ + i); }
     /** @} */
 
-    /** The slot the next pushBack() makes live. @{ */
-    T &tailSlot() { return atPos(tail_); }
+    /** The slot the next pushBack() makes live. The const overload
+     *  requires the slot array to exist (an earlier push or non-const
+     *  tailSlot() call). @{ */
+    T &
+    tailSlot()
+    {
+        allocate();
+        return atPos(tail_);
+    }
     const T &tailSlot() const { return atPos(tail_); }
     /** @} */
 
@@ -82,6 +91,7 @@ class RingBuffer
     {
         hetsim_assert(!full(), "ring buffer overflow (capacity %zu)",
                       capacity());
+        allocate();
         return atPos(tail_++);
     }
 
@@ -98,7 +108,15 @@ class RingBuffer
     void reset(uint64_t start = 0) { head_ = tail_ = start; }
 
   private:
-    std::vector<T> slots_;
+    void
+    allocate()
+    {
+        if (slots_.empty())
+            slots_.resize(capacity_);
+    }
+
+    std::vector<T> slots_; ///< Empty until first needed, then capacity_.
+    size_t capacity_;
     uint64_t mask_;
     uint64_t head_;
     uint64_t tail_;

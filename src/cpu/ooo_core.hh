@@ -112,7 +112,8 @@ class OooCore
      *  in flight iff oldestSeq() <= s < nextSeq(). @{ */
     uint64_t oldestSeq() const { return rob_.headPos(); }
     uint64_t nextSeq() const { return rob_.tailPos(); }
-    bool seqInFlight(uint64_t seq) const
+    bool
+    seqInFlight(uint64_t seq) const
     {
         return entryBySeq(seq) != nullptr;
     }
