@@ -178,13 +178,23 @@ TEST(Rng, PrecomputedGeometricMatchesGeometricBitForBit)
 {
     // The trace generator draws dependence distances through a
     // GeometricDist with log1p(-p) computed once; every draw must be
-    // the value geometric(p) gives from the same stream state.
+    // the value of the geometric(p) formula on the same stream state.
     for (double p : {0.05, 0.105, 0.3, 0.35, 0.5, 0.9, 0.999, 1.0}) {
         const hetsim::GeometricDist dist(p);
-        Rng a(17), b(17);
-        for (int i = 0; i < 100000; ++i)
-            ASSERT_EQ(a.geometric(p), b.geometric(dist))
-                << "p=" << p << " draw " << i;
-        EXPECT_EQ(a.next(), b.next()) << "streams diverged, p=" << p;
+        Rng ref(17), by_p(17), by_dist(17);
+        for (int i = 0; i < 100000; ++i) {
+            uint64_t want = 1;
+            if (p < 1.0) {
+                double u = ref.uniform();
+                if (u <= 0.0)
+                    u = 0x1.0p-53;
+                want = 1 + static_cast<uint64_t>(std::log(u) /
+                                                 std::log1p(-p));
+            }
+            ASSERT_EQ(by_p.geometric(p), want) << "p=" << p << " #" << i;
+            ASSERT_EQ(by_dist.geometric(dist), want)
+                << "p=" << p << " #" << i;
+        }
+        EXPECT_EQ(ref.next(), by_dist.next()) << "streams diverged";
     }
 }
