@@ -58,8 +58,7 @@ class RingBuffer
     /** Position `pos` is live (pushed and not yet popped). */
     bool holds(uint64_t pos) const { return head_ <= pos && pos < tail_; }
 
-    /** Slot of position `pos`; meaningful for live positions and for
-     *  the tail slot a caller is filling before pushBack(). @{ */
+    /** Slot of the live position `pos`. @{ */
     T &atPos(uint64_t pos) { return slots_[pos & mask_]; }
     const T &atPos(uint64_t pos) const { return slots_[pos & mask_]; }
     /** @} */
