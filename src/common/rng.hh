@@ -26,8 +26,8 @@ namespace hetsim
  */
 struct GeometricDist
 {
-    explicit GeometricDist(double p_)
-        : p(p_), log1pNegP(p_ < 1.0 ? std::log1p(-p_) : 0.0)
+    explicit GeometricDist(double prob)
+        : p(prob), log1pNegP(prob < 1.0 ? std::log1p(-prob) : 0.0)
     {
     }
 
