@@ -11,7 +11,11 @@
  *  - the 14 paper applications x {BaseCMOS, BaseHet, AdvHet,
  *    AdvHet-2X};
  *  - every GPU kernel x {BaseCMOS, AdvHet};
- *  - lock_heavy (contention) on BaseHet.
+ *  - lock_heavy (contention) on BaseHet;
+ *  - the exhaustive CPU design-space exploration of fft at scale
+ *    0.02, digested over its dseReportToJson() document (the bytes
+ *    `hetsim_cli dse --space cpu --app fft --scale 0.02
+ *    --report-json` writes).
  *
  * Pure performance and pure design changes must leave the manifest
  * unchanged. A change that alters the model on purpose regenerates
@@ -28,7 +32,9 @@
 #include <vector>
 
 #include "common/serialize.hh"
+#include "common/thread_pool.hh"
 #include "core/configs.hh"
+#include "core/dse.hh"
 #include "core/experiment.hh"
 #include "workload/cpu_profiles.hh"
 #include "workload/gpu_profiles.hh"
@@ -40,6 +46,7 @@ namespace
 {
 
 constexpr double kScale = 0.05;
+constexpr double kDseScale = 0.02;
 
 struct Cell
 {
@@ -56,9 +63,8 @@ goldenOpts()
 }
 
 uint64_t
-digestOf(const obs::RunReport &rep)
+digestOf(const std::string &json)
 {
-    const std::string json = rep.toJson();
     return serializeFnv1a(json.data(), json.size());
 }
 
@@ -68,7 +74,7 @@ cpuCell(CpuConfig cfg, const workload::AppProfile &app)
     obs::RunReport rep;
     runCpuExperiment(cfg, app, goldenOpts(), &rep);
     return {std::string("cpu/") + cpuConfigName(cfg) + "/" + app.name,
-            digestOf(rep)};
+            digestOf(rep.toJson())};
 }
 
 Cell
@@ -78,7 +84,22 @@ gpuCell(GpuConfig cfg, const workload::KernelProfile &kernel)
     runGpuExperiment(cfg, kernel, goldenOpts(), &rep);
     return {std::string("gpu/") + gpuConfigName(cfg) + "/" +
                 kernel.name,
-            digestOf(rep)};
+            digestOf(rep.toJson())};
+}
+
+Cell
+dseCell(const workload::AppProfile &app)
+{
+    DseOptions opts;
+    opts.exp.scale = kDseScale;
+    opts.jobs = 4;
+    ThreadPool pool(opts.jobs);
+    DseCache cache;
+    const std::vector<DsePoint> points = evaluateCpuDesigns(
+        enumerateCpuDesigns(), app, opts, pool, cache);
+    return {std::string("dse/cpu/") + app.name,
+            digestOf(dseReportToJson(points, app.name,
+                                     opts.objective))};
 }
 
 std::vector<Cell>
@@ -96,6 +117,7 @@ computeMatrix()
             cells.push_back(gpuCell(cfg, k));
     cells.push_back(
         cpuCell(CpuConfig::BaseHet, workload::cpuApp("lock_heavy")));
+    cells.push_back(dseCell(workload::cpuApp("fft")));
     return cells;
 }
 
@@ -126,7 +148,8 @@ writeManifest(const char *path, const std::vector<Cell> &cells)
     FILE *f = std::fopen(path, "w");
     ASSERT_NE(f, nullptr) << path;
     std::fprintf(f, "# FNV-1a 64 of RunReport::toJson() per cell, "
-                    "scale 0.05, seed 1.\n"
+                    "scale 0.05, seed 1;\n"
+                    "# dse/ lines: dseReportToJson() at scale 0.02.\n"
                     "# Checked by tests/test_golden_digest.cc.\n");
     for (const Cell &c : cells)
         std::fprintf(f, "%016llx %s\n",
