@@ -97,6 +97,23 @@ ioError(const char *op, const std::string &path)
     return ioError(op, path, errno);
 }
 
+Status
+writeAllFd(int fd, const void *data, size_t n, const std::string &path)
+{
+    const char *p = static_cast<const char *>(data);
+    while (n > 0) {
+        const ssize_t w = ::write(fd, p, n);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            return ioError("write failed", path, errno);
+        }
+        p += w;
+        n -= static_cast<size_t>(w);
+    }
+    return Status();
+}
+
 Result<FileHandle>
 openFile(const std::string &path, const char *mode)
 {

@@ -137,6 +137,11 @@ std::string errnoName(int err);
 Status ioError(const char *op, const std::string &path, int err);
 Status ioError(const char *op, const std::string &path);
 
+/** write(2) all `n` bytes, retrying short writes and EINTR; errors
+ *  name `path` (a file name or a description of the descriptor). */
+Status writeAllFd(int fd, const void *data, size_t n,
+                  const std::string &path);
+
 /** fopen() with full error context instead of a null handle. */
 Result<FileHandle> openFile(const std::string &path, const char *mode);
 

@@ -1,5 +1,6 @@
 #include "common/serialize.hh"
 
+#include "common/envelope.hh"
 #include "common/logging.hh"
 
 namespace hetsim
@@ -14,18 +15,6 @@ namespace
 constexpr size_t kSectionPatchBytes = 8 + 8;
 
 } // namespace
-
-uint64_t
-serializeFnv1a(const void *data, size_t n)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 void
 Serializer::putRaw(const void *p, size_t n)
@@ -55,7 +44,7 @@ Serializer::endSection()
     const size_t payload_at = sectionHeaderAt_ + kSectionPatchBytes;
     const uint64_t payload_len = buf_.size() - payload_at;
     const uint64_t fnv =
-        serializeFnv1a(buf_.data() + payload_at, payload_len);
+        fnv1a(buf_.data() + payload_at, payload_len);
     for (size_t i = 0; i < 8; ++i) {
         buf_[sectionHeaderAt_ + i] =
             static_cast<char>(payload_len >> (8 * i));
@@ -117,7 +106,7 @@ Deserializer::openSection(const char *name)
                              name);
         return;
     }
-    if (serializeFnv1a(data_.data() + pos_, payload_len) != fnv) {
+    if (fnv1a(data_.data() + pos_, payload_len) != fnv) {
         err_ = Status::error(ErrorCode::CorruptRecord,
                              "checkpoint section '%s' checksum "
                              "mismatch", name);

@@ -38,9 +38,6 @@
 namespace hetsim
 {
 
-/** FNV-1a over a byte range (same parameters as the result store). */
-uint64_t serializeFnv1a(const void *data, size_t n);
-
 /**
  * Checkpoint control shared by the chip runners (cpu::Multicore::run,
  * gpu::Gpu::run).

@@ -1,17 +1,11 @@
 #include "core/checkpoint.hh"
 
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 
-#include "common/file.hh"
+#include "common/envelope.hh"
 #include "common/logging.hh"
-#include "common/serialize.hh"
-#include "core/result_store.hh"
 
 namespace hetsim::core
 {
@@ -19,105 +13,29 @@ namespace hetsim::core
 namespace
 {
 
-/** On-disk prefix of every checkpoint; key + payload bytes follow. */
-#pragma pack(push, 1)
-struct CheckpointHeader
-{
-    char magic[4];         // "HCP\n"
-    uint32_t schema;       // kCheckpointSchemaVersion
-    uint32_t traceVersion; // Trace-format fence.
-    uint32_t keyLen;
-    uint64_t payloadLen;
-    uint64_t cycle;        // Quiesce cycle (convenience copy).
-    uint64_t keyFnv;
-    uint64_t payloadFnv;
-};
-#pragma pack(pop)
+/** Checkpoints: "HCP\n", checkpoint schema. */
+constexpr EnvelopeFormat kCheckpointFormat = {{'H', 'C', 'P', '\n'},
+                                              kCheckpointSchemaVersion};
 
-constexpr char kMagic[4] = {'H', 'C', 'P', '\n'};
-
-Status
-writeAllFd(int fd, const void *data, size_t n, const std::string &path)
+/** Read and verify one checkpoint file and split the quiesce-cycle
+ *  prefix off its payload. Errors as readEnvelope(). */
+Result<LoadedCheckpoint>
+readCheckpoint(const std::string &path, uint32_t trace_version)
 {
-    const char *p = static_cast<const char *>(data);
-    while (n > 0) {
-        const ssize_t w = ::write(fd, p, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return ioError("write failed", path, errno);
-        }
-        p += w;
-        n -= static_cast<size_t>(w);
-    }
-    return Status();
-}
-
-Status
-readAllFd(int fd, std::string *out, const std::string &path)
-{
-    char buf[1 << 16];
-    out->clear();
-    while (true) {
-        const ssize_t r = ::read(fd, buf, sizeof(buf));
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return ioError("read failed", path, errno);
-        }
-        if (r == 0)
-            return Status();
-        out->append(buf, static_cast<size_t>(r));
-    }
-}
-
-void
-syncDirectoryOf(const std::string &path)
-{
-    const size_t slash = path.rfind('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : path.substr(0, slash);
-    FdHandle d(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
-    if (d)
-        ::fsync(d.get());
-}
-
-/** Sideline a failed checkpoint so it is never restored from. */
-void
-quarantineCheckpoint(const std::string &path, const char *reason)
-{
-    const std::string side = path + ".quarantined";
-    if (::rename(path.c_str(), side.c_str()) != 0)
-        ::unlink(path.c_str());
-    warn("checkpoint: quarantined %s (%s)", path.c_str(), reason);
-}
-
-/** The full header/checksum validation a load performs, over raw
- *  file bytes: nullptr when healthy (with *hdr filled in), else the
- *  failure reason. Identity-key fencing is NOT part of this — key
- *  ownership is the caller's policy, not a property of the bytes. */
-const char *
-checkpointProblem(const std::string &raw, uint32_t trace_version,
-                  CheckpointHeader *hdr)
-{
-    if (raw.size() < sizeof(*hdr))
-        return "truncated header";
-    std::memcpy(hdr, raw.data(), sizeof(*hdr));
-    if (std::memcmp(hdr->magic, kMagic, sizeof(kMagic)) != 0)
-        return "bad magic";
-    if (hdr->schema != kCheckpointSchemaVersion)
-        return "checkpoint schema version mismatch";
-    if (hdr->traceVersion != trace_version)
-        return "trace format version mismatch";
-    if (raw.size() != sizeof(*hdr) + hdr->keyLen + hdr->payloadLen)
-        return "size mismatch";
-    if (serializeFnv1a(raw.data() + sizeof(*hdr), hdr->keyLen) !=
-        hdr->keyFnv)
-        return "key checksum mismatch";
-    if (serializeFnv1a(raw.data() + sizeof(*hdr) + hdr->keyLen,
-                       hdr->payloadLen) != hdr->payloadFnv)
-        return "payload checksum mismatch";
-    return nullptr;
+    Result<Envelope> env =
+        readEnvelope(path, kCheckpointFormat, trace_version);
+    if (!env.ok())
+        return env.status();
+    LoadedCheckpoint out;
+    if (env->payload.size() < sizeof(out.cycle))
+        return Status::error(ErrorCode::CorruptRecord,
+                             "missing quiesce cycle");
+    std::memcpy(&out.cycle, env->payload.data(), sizeof(out.cycle));
+    out.key = std::move(env->key);
+    out.payload = std::move(env->payload);
+    out.payload.erase(0, sizeof(out.cycle));
+    out.path = path;
+    return out;
 }
 
 } // namespace
@@ -127,55 +45,11 @@ saveCheckpoint(const std::string &path, const std::string &key,
                uint64_t cycle, const std::string &payload,
                uint32_t trace_version)
 {
-    CheckpointHeader hdr;
-    std::memcpy(hdr.magic, kMagic, sizeof(kMagic));
-    hdr.schema = kCheckpointSchemaVersion;
-    hdr.traceVersion = trace_version;
-    hdr.keyLen = static_cast<uint32_t>(key.size());
-    hdr.payloadLen = payload.size();
-    hdr.cycle = cycle;
-    hdr.keyFnv = serializeFnv1a(key.data(), key.size());
-    hdr.payloadFnv = serializeFnv1a(payload.data(), payload.size());
-
-    char suffix[48];
-    static uint64_t tmp_seq = 0;
-    std::snprintf(suffix, sizeof(suffix), ".tmp.%d.%llu",
-                  static_cast<int>(::getpid()),
-                  static_cast<unsigned long long>(++tmp_seq));
-    const std::string tmp = path + suffix;
-
-    FdHandle fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL,
-                       0644));
-    if (!fd)
-        return ioError("open failed", tmp, errno);
-
-    Status s = writeAllFd(fd.get(), &hdr, sizeof(hdr), tmp);
-    if (s.ok())
-        s = writeAllFd(fd.get(), key.data(), key.size(), tmp);
-    if (s.ok())
-        s = writeAllFd(fd.get(), payload.data(), payload.size(), tmp);
-    if (s.ok() && ::fsync(fd.get()) != 0)
-        s = ioError("fsync failed", tmp, errno);
-    fd.reset();
-    if (!s.ok()) {
-        ::unlink(tmp.c_str());
-        return s;
-    }
-
-    // Rotate the current checkpoint aside before installing the new
-    // one: a kill between the two renames leaves .prev as the live
-    // fallback, so the reader never sees less than the last completed
-    // checkpoint.
-    const std::string prev = path + kCheckpointPrevSuffix;
-    ::rename(path.c_str(), prev.c_str()); // ENOENT on first save: fine
-
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-        const Status rs = ioError("rename failed", path, errno);
-        ::unlink(tmp.c_str());
-        return rs;
-    }
-    syncDirectoryOf(path);
-    return Status();
+    const std::string_view cycle_bytes(
+        reinterpret_cast<const char *>(&cycle), sizeof(cycle));
+    return writeEnvelope(path, kCheckpointFormat, trace_version, key,
+                         {cycle_bytes, payload},
+                         path + kCheckpointPrevSuffix);
 }
 
 Result<LoadedCheckpoint>
@@ -183,42 +57,24 @@ loadCheckpointFile(const std::string &path,
                    const std::string &expect_key,
                    uint32_t trace_version)
 {
-    FdHandle fd(::open(path.c_str(), O_RDONLY));
-    if (!fd) {
-        if (errno == ENOENT)
-            return Status::error(ErrorCode::NotFound,
-                                 "no checkpoint at %s", path.c_str());
-        return ioError("open failed", path, errno);
-    }
-    std::string raw;
-    const Status read = readAllFd(fd.get(), &raw, path);
-    if (!read.ok())
-        return read;
-    fd.reset();
-
-    CheckpointHeader hdr;
-    const char *reason = checkpointProblem(raw, trace_version, &hdr);
-    if (reason != nullptr) {
-        quarantineCheckpoint(path, reason);
+    Result<LoadedCheckpoint> got = readCheckpoint(path, trace_version);
+    if (!got.ok()) {
+        if (got.status().code() != ErrorCode::CorruptRecord)
+            return got;
+        quarantineFile(path, "checkpoint", got.status().message());
         return Status::error(ErrorCode::NotFound,
-                             "checkpoint quarantined: %s", reason);
+                             "checkpoint quarantined: %s",
+                             got.status().message().c_str());
     }
 
     // Healthy bytes for a different run: refuse but do not
     // quarantine — restoring another run's machine state would be
     // silent corruption of results.
-    if (raw.compare(sizeof(hdr), hdr.keyLen, expect_key) != 0)
+    if (got->key != expect_key)
         return Status::error(ErrorCode::NotFound,
                              "checkpoint at %s belongs to a "
                              "different run", path.c_str());
-
-    LoadedCheckpoint out;
-    out.key = expect_key;
-    out.payload = raw.substr(sizeof(hdr) + hdr.keyLen,
-                             hdr.payloadLen);
-    out.cycle = hdr.cycle;
-    out.path = path;
-    return out;
+    return got;
 }
 
 Result<LoadedCheckpoint>
@@ -247,23 +103,14 @@ loadCheckpoint(const std::string &path, const std::string &expect_key,
 Status
 verifyCheckpointFile(const std::string &path, uint32_t trace_version)
 {
-    FdHandle fd(::open(path.c_str(), O_RDONLY));
-    if (!fd) {
-        if (errno == ENOENT)
-            return Status::error(ErrorCode::NotFound,
-                                 "no checkpoint at %s", path.c_str());
-        return ioError("open failed", path, errno);
-    }
-    std::string raw;
-    const Status read = readAllFd(fd.get(), &raw, path);
-    if (!read.ok())
-        return read;
-    CheckpointHeader hdr;
-    const char *reason = checkpointProblem(raw, trace_version, &hdr);
-    if (reason != nullptr)
-        return Status::error(ErrorCode::InvalidArgument, "%s",
-                             reason);
-    return Status();
+    const Result<LoadedCheckpoint> got =
+        readCheckpoint(path, trace_version);
+    if (got.ok())
+        return Status();
+    if (got.status().code() != ErrorCode::CorruptRecord)
+        return got.status();
+    return Status::error(ErrorCode::InvalidArgument, "%s",
+                         got.status().message().c_str());
 }
 
 void

@@ -2,12 +2,13 @@
  * @file
  * Versioned, checksummed, atomically-rotated checkpoint files.
  *
- * A checkpoint is one file holding a header (magic, schema version,
- * trace-format version, identity-key and payload lengths + FNV-1a
- * checksums), an identity key, and an opaque payload (the Serializer
- * section stream produced by the simulators at a quiesce point).
+ * A checkpoint is one checksummed envelope (common/envelope.hh, magic
+ * "HCP\n") holding an identity key and a payload: the 8-byte quiesce
+ * cycle followed by the Serializer section stream the simulators
+ * produce at that quiesce point. The cycle is inside the payload
+ * checksum, so a damaged cycle is caught like any other damage.
  *
- * Durability and trust model mirror the result store:
+ * Durability and trust model are the result store's:
  *
  *  - Atomic writes: the new checkpoint is written to a unique O_EXCL
  *    temp file, fsync'd, and rename(2)'d into place (directory
@@ -48,8 +49,10 @@ namespace hetsim::core
 
 /** Bump when the checkpoint layout (header or any component section)
  *  changes; older files are quarantined, never reinterpreted.
- *  v2: sync-controller section + core barrier/sync park fields. */
-constexpr uint32_t kCheckpointSchemaVersion = 2;
+ *  v2: sync-controller section + core barrier/sync park fields.
+ *  v3: the shared envelope header; the quiesce cycle moved from the
+ *  header into a checksummed payload prefix. */
+constexpr uint32_t kCheckpointSchemaVersion = 3;
 
 /** Canonical checkpoint filename extension. */
 constexpr const char *kCheckpointSuffix = ".hckp";
@@ -62,7 +65,7 @@ struct LoadedCheckpoint
 {
     std::string key;     ///< Stored run-identity key.
     std::string payload; ///< Serializer section stream.
-    uint64_t cycle = 0;  ///< Quiesce cycle (header copy, pre-verified).
+    uint64_t cycle = 0;  ///< Quiesce cycle (checksummed prefix).
     std::string path;    ///< File it was loaded from (primary/.prev).
 };
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/envelope.hh"
 #include "common/file.hh"
 #include "common/logging.hh"
 #include "core/area.hh"
@@ -42,18 +43,6 @@ deviceLetter(DeviceClass dev)
       default:
         return '?';
     }
-}
-
-/** FNV-1a over a string: stable across platforms and runs. */
-uint64_t
-fnv1a(const std::string &s)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 void

@@ -1,18 +1,15 @@
 #include "core/result_store.hh"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
 #include "common/file.hh"
-#include "common/logging.hh"
 #include "core/checkpoint.hh"
 
 namespace hetsim::core
@@ -21,81 +18,20 @@ namespace hetsim::core
 namespace
 {
 
-/** On-disk prefix of every entry; key bytes + payload bytes follow. */
-#pragma pack(push, 1)
-struct EntryHeader
-{
-    char magic[4];         // "HRS\n"
-    uint32_t schema;       // ResultStore::kSchemaVersion
-    uint32_t traceVersion; // Trace-format fence.
-    uint32_t keyLen;
-    uint64_t payloadLen;
-    uint64_t keyFnv;       // fnv1a(key bytes)
-    uint64_t payloadFnv;   // fnv1a(payload bytes)
-};
-#pragma pack(pop)
+/** Store entries: "HRS\n", store schema. */
+constexpr EnvelopeFormat kStoreFormat = {{'H', 'R', 'S', '\n'},
+                                         ResultStore::kSchemaVersion};
 
-constexpr char kMagic[4] = {'H', 'R', 'S', '\n'};
-
-/** write(2) the whole buffer, retrying on EINTR. */
-Status
-writeAllFd(int fd, const void *data, size_t n, const std::string &path)
+/** True when `name` ends with `suffix`. */
+bool
+endsWith(const std::string &name, const std::string &suffix)
 {
-    const char *p = static_cast<const char *>(data);
-    while (n > 0) {
-        const ssize_t w = ::write(fd, p, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return ioError("write failed", path, errno);
-        }
-        p += w;
-        n -= static_cast<size_t>(w);
-    }
-    return Status();
-}
-
-/** Read the whole file into `out` (size-bounded by the caller). */
-Status
-readAllFd(int fd, std::string *out, const std::string &path)
-{
-    char buf[1 << 16];
-    out->clear();
-    while (true) {
-        const ssize_t r = ::read(fd, buf, sizeof(buf));
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return ioError("read failed", path, errno);
-        }
-        if (r == 0)
-            return Status();
-        out->append(buf, static_cast<size_t>(r));
-    }
-}
-
-/** Best-effort directory fsync so the rename itself is durable. */
-void
-syncDirectory(const std::string &dir)
-{
-    FdHandle d(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
-    if (d)
-        ::fsync(d.get());
+    return name.size() >= suffix.size() &&
+           name.compare(name.size() - suffix.size(), suffix.size(),
+                        suffix) == 0;
 }
 
 } // namespace
-
-uint64_t
-storeFnv1a(const void *data, size_t n)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 Status
 makeDirectories(const std::string &dir)
@@ -141,83 +77,39 @@ ResultStore::entryPath(const std::string &key) const
 {
     char name[32];
     std::snprintf(name, sizeof(name), "%016llx",
-                  static_cast<unsigned long long>(
-                      storeFnv1a(key.data(), key.size())));
+                  static_cast<unsigned long long>(fnv1a(key)));
     return dir_ + "/" + name + kEntrySuffix;
-}
-
-void
-ResultStore::quarantine(const std::string &path, const char *reason)
-{
-    const std::string side = path + ".quarantined";
-    if (::rename(path.c_str(), side.c_str()) != 0) {
-        // Sidelining failed (e.g. read-only media): unlink so the
-        // corrupt bytes can at least never be served again.
-        ::unlink(path.c_str());
-    }
-    ++stats_->quarantined;
-    warn("result store: quarantined %s (%s)", path.c_str(), reason);
 }
 
 Result<std::string>
 ResultStore::get(const std::string &key)
 {
     const std::string path = entryPath(key);
-    FdHandle fd(::open(path.c_str(), O_RDONLY));
-    if (!fd) {
+    Result<Envelope> entry = readEnvelope(path, kStoreFormat,
+                                          traceVersion_);
+    if (!entry.ok()) {
         ++stats_->misses;
-        if (errno == ENOENT)
+        switch (entry.status().code()) {
+          case ErrorCode::NotFound:
             return Status::error(ErrorCode::NotFound,
                                  "store miss for key '%s'",
                                  key.c_str());
-        return ioError("open failed", path, errno);
-    }
-
-    std::string raw;
-    const Status read = readAllFd(fd.get(), &raw, path);
-    if (!read.ok()) {
-        ++stats_->misses;
-        return read;
-    }
-    fd.reset();
-
-    EntryHeader hdr;
-    if (raw.size() < sizeof(hdr)) {
-        quarantine(path, "truncated header");
-        ++stats_->misses;
-        return Status::error(ErrorCode::NotFound,
-                             "store entry quarantined: "
-                             "truncated header");
-    }
-    std::memcpy(&hdr, raw.data(), sizeof(hdr));
-
-    const char *reason = nullptr;
-    if (std::memcmp(hdr.magic, kMagic, sizeof(kMagic)) != 0)
-        reason = "bad magic";
-    else if (hdr.schema != kSchemaVersion)
-        reason = "store schema version mismatch";
-    else if (hdr.traceVersion != traceVersion_)
-        reason = "trace format version mismatch";
-    else if (raw.size() !=
-             sizeof(hdr) + hdr.keyLen + hdr.payloadLen)
-        reason = "size mismatch";
-    else if (storeFnv1a(raw.data() + sizeof(hdr), hdr.keyLen) !=
-             hdr.keyFnv)
-        reason = "key checksum mismatch";
-    else if (storeFnv1a(raw.data() + sizeof(hdr) + hdr.keyLen,
-                        hdr.payloadLen) != hdr.payloadFnv)
-        reason = "payload checksum mismatch";
-    if (reason != nullptr) {
-        quarantine(path, reason);
-        ++stats_->misses;
-        return Status::error(ErrorCode::NotFound,
-                             "store entry quarantined: %s", reason);
+          case ErrorCode::CorruptRecord:
+            quarantineFile(path, "result store",
+                           entry.status().message());
+            ++stats_->quarantined;
+            return Status::error(ErrorCode::NotFound,
+                                 "store entry quarantined: %s",
+                                 entry.status().message().c_str());
+          default:
+            return entry.status();
+        }
     }
 
     // Verified but for a different key: an FNV filename collision.
     // Not corruption — the other key's entry is healthy — so it is a
     // plain miss (this key simply cannot be stored here).
-    if (raw.compare(sizeof(hdr), hdr.keyLen, key) != 0) {
+    if (entry->key != key) {
         ++stats_->misses;
         return Status::error(ErrorCode::NotFound,
                              "store key collision for '%s'",
@@ -225,95 +117,18 @@ ResultStore::get(const std::string &key)
     }
 
     ++stats_->hits;
-    return raw.substr(sizeof(hdr) + hdr.keyLen, hdr.payloadLen);
+    return std::move(entry->payload);
 }
 
 Status
 ResultStore::put(const std::string &key, const std::string &payload)
 {
-    EntryHeader hdr;
-    std::memcpy(hdr.magic, kMagic, sizeof(kMagic));
-    hdr.schema = kSchemaVersion;
-    hdr.traceVersion = traceVersion_;
-    hdr.keyLen = static_cast<uint32_t>(key.size());
-    hdr.payloadLen = payload.size();
-    hdr.keyFnv = storeFnv1a(key.data(), key.size());
-    hdr.payloadFnv = storeFnv1a(payload.data(), payload.size());
-
-    const std::string path = entryPath(key);
-    char suffix[48];
-    std::snprintf(suffix, sizeof(suffix), ".tmp.%d.%llu",
-                  static_cast<int>(::getpid()),
-                  static_cast<unsigned long long>(++stats_->tmpSeq));
-    const std::string tmp = path + suffix;
-
-    FdHandle fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL,
-                       0644));
-    if (!fd)
-        return ioError("open failed", tmp, errno);
-
-    Status s = writeAllFd(fd.get(), &hdr, sizeof(hdr), tmp);
+    const Status s = writeEnvelope(entryPath(key), kStoreFormat,
+                                   traceVersion_, key, {payload});
     if (s.ok())
-        s = writeAllFd(fd.get(), key.data(), key.size(), tmp);
-    if (s.ok())
-        s = writeAllFd(fd.get(), payload.data(), payload.size(), tmp);
-    if (s.ok() && ::fsync(fd.get()) != 0)
-        s = ioError("fsync failed", tmp, errno);
-    fd.reset();
-    if (!s.ok()) {
-        ::unlink(tmp.c_str());
-        return s;
-    }
-
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-        const Status rs = ioError("rename failed", path, errno);
-        ::unlink(tmp.c_str());
-        return rs;
-    }
-    syncDirectory(dir_);
-    ++stats_->puts;
-    return Status();
+        ++stats_->puts;
+    return s;
 }
-
-namespace
-{
-
-/** True when `name` ends with `suffix`. */
-bool
-endsWith(const std::string &name, const std::string &suffix)
-{
-    return name.size() >= suffix.size() &&
-           name.compare(name.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
-/** The verification get() performs, over raw entry bytes. Returns
- *  nullptr when the entry is healthy. */
-const char *
-entryProblem(const std::string &raw, uint32_t trace_version)
-{
-    EntryHeader hdr;
-    if (raw.size() < sizeof(hdr))
-        return "truncated header";
-    std::memcpy(&hdr, raw.data(), sizeof(hdr));
-    if (std::memcmp(hdr.magic, kMagic, sizeof(kMagic)) != 0)
-        return "bad magic";
-    if (hdr.schema != ResultStore::kSchemaVersion)
-        return "store schema version mismatch";
-    if (hdr.traceVersion != trace_version)
-        return "trace format version mismatch";
-    if (raw.size() != sizeof(hdr) + hdr.keyLen + hdr.payloadLen)
-        return "size mismatch";
-    if (storeFnv1a(raw.data() + sizeof(hdr), hdr.keyLen) !=
-        hdr.keyFnv)
-        return "key checksum mismatch";
-    if (storeFnv1a(raw.data() + sizeof(hdr) + hdr.keyLen,
-                   hdr.payloadLen) != hdr.payloadFnv)
-        return "payload checksum mismatch";
-    return nullptr;
-}
-
-} // namespace
 
 Result<StoreFsckReport>
 fsckStore(const std::string &dir, uint32_t trace_version, bool prune)
@@ -380,36 +195,25 @@ fsckStore(const std::string &dir, uint32_t trace_version, bool prune)
         if (!endsWith(name, ResultStore::kEntrySuffix))
             continue;
 
-        std::string raw;
-        {
-            FdHandle fd(::open(path.c_str(), O_RDONLY));
-            if (!fd) {
-                rep.notes.push_back("cannot open " + path + ": " +
-                                    std::strerror(errno));
-                continue;
-            }
-            const Status read = readAllFd(fd.get(), &raw, path);
-            if (!read.ok()) {
-                rep.notes.push_back(read.toString());
-                continue;
-            }
-        }
-        const char *problem = entryProblem(raw, trace_version);
-        if (problem == nullptr) {
+        const Result<Envelope> entry =
+            readEnvelope(path, kStoreFormat, trace_version);
+        if (entry.ok()) {
             ++rep.okEntries;
             continue;
         }
+        if (entry.status().code() != ErrorCode::CorruptRecord) {
+            rep.notes.push_back(entry.status().toString());
+            continue;
+        }
+        const std::string &problem = entry.status().message();
         ++rep.corruptEntries;
-        rep.notes.push_back(std::string("corrupt entry (") + problem +
-                            "): " + path);
-        const std::string side = path + ".quarantined";
-        if (::rename(path.c_str(), side.c_str()) != 0) {
-            ::unlink(path.c_str());
+        rep.notes.push_back("corrupt entry (" + problem + "): " + path);
+        if (quarantineFile(path, "store fsck", problem)) {
+            ++rep.quarantined;
+            prune_file(path + ".quarantined");
+        } else {
             rep.notes.push_back("quarantine rename failed; unlinked " +
                                 path);
-        } else {
-            ++rep.quarantined;
-            prune_file(side);
         }
     }
     return rep;

@@ -7,8 +7,8 @@
  * workload, options) key scheme but evaporates with the process; a
  * million-cell sweep re-run next session recomputes everything. This
  * store is the durable tier: one file per entry under a store
- * directory, named by the FNV-1a hash of the key, holding a versioned
- * header + the key + an opaque payload.
+ * directory, named by the FNV-1a hash of the key, holding the key and
+ * an opaque payload in a checksummed envelope (common/envelope.hh).
  *
  * Trust model — the store must be *safe to believe* after crashes,
  * kills, and bit-rot:
@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "common/envelope.hh"
 #include "common/status.hh"
 #include "workload/trace_file.hh"
 
@@ -49,7 +50,11 @@ namespace hetsim::core
 {
 
 /** FNV-1a over a byte range (the store's key and checksum hash). */
-uint64_t storeFnv1a(const void *data, size_t n);
+inline uint64_t
+storeFnv1a(const void *data, size_t n)
+{
+    return fnv1a(data, n);
+}
 
 class ResultStore
 {
@@ -104,7 +109,6 @@ class ResultStore
         std::atomic<uint64_t> misses{0};
         std::atomic<uint64_t> quarantined{0};
         std::atomic<uint64_t> puts{0};
-        std::atomic<uint64_t> tmpSeq{0}; ///< Unique temp-file names.
     };
 
     ResultStore(std::string dir, uint32_t trace_version)
@@ -112,9 +116,6 @@ class ResultStore
           stats_(std::make_unique<Stats>())
     {
     }
-
-    /** Sideline a failed entry and account for it. */
-    void quarantine(const std::string &path, const char *reason);
 
     std::string dir_;
     uint32_t traceVersion_ = 0;

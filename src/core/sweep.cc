@@ -12,9 +12,9 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/envelope.hh"
 #include "common/file.hh"
 #include "common/logging.hh"
-#include "common/serialize.hh"
 #include "common/table.hh"
 #include "core/checkpoint.hh"
 #include "cpu/multicore.hh"
@@ -124,8 +124,7 @@ cellCheckpointPath(const std::string &cell_key,
 {
     char hex[24];
     std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(serializeFnv1a(
-                      cell_key.data(), cell_key.size())));
+                  static_cast<unsigned long long>(fnv1a(cell_key)));
     return opts.checkpointDir + "/cell-" + hex + kCheckpointSuffix;
 }
 
@@ -537,8 +536,7 @@ executeCell(const SweepCell &cell, const SweepOptions &opts)
             attempt >= opts.maxRetries ||
             (opts.exp.preempt && *opts.exp.preempt))
             break;
-        sleepBackoff(opts.retryBackoffMs, attempt + 1,
-                     serializeFnv1a(key.data(), key.size()));
+        sleepBackoff(opts.retryBackoffMs, attempt + 1, fnv1a(key));
     }
 
     // Journal only deterministic terminal outcomes: a replayed crash
@@ -616,9 +614,8 @@ runSweepParallel(const std::vector<SweepCell> &cells,
             t.attempt - 1 < opts.maxRetries && !preemptPending()) {
             t.res = std::move(r);
             t.phase = Phase::Backoff;
-            t.readyAt = now + backoffMs(
-                opts.retryBackoffMs, t.attempt,
-                serializeFnv1a(keys[i].data(), keys[i].size()));
+            t.readyAt = now + backoffMs(opts.retryBackoffMs, t.attempt,
+                                        fnv1a(keys[i]));
             return;
         }
         r.wallMs = now - t.startMs;

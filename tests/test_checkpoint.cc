@@ -36,10 +36,11 @@ using namespace hetsim::core;
 namespace
 {
 
-/** 48-byte on-disk header (see checkpoint.cc): magic, schema, trace
- *  version, key/payload lengths, cycle, two checksums. Corruption
- *  tests target these offsets. */
-constexpr uint64_t kHeaderSize = 48;
+/** 40-byte envelope header (see common/envelope.hh): magic, schema,
+ *  trace version, key/payload lengths, two checksums. The key follows,
+ *  then the payload, whose first 8 bytes are the quiesce cycle.
+ *  Corruption tests target these offsets. */
+constexpr uint64_t kHeaderSize = 40;
 constexpr uint64_t kOffSchema = 4;
 constexpr uint64_t kOffTraceVersion = 8;
 
@@ -198,6 +199,14 @@ TEST_F(CheckpointTest, EveryCorruptionClassIsQuarantined)
              ASSERT_GT(size, 1u);
              ASSERT_TRUE(
                  workload::flipBitInFile(p, size - 1, 7).ok());
+         }},
+        {"quiesce cycle corrupted",
+         [](const std::string &p) {
+             // The cycle follows the 7-byte key "the-key".
+             const uint64_t cycle = 0xdeadbeefull;
+             ASSERT_TRUE(workload::overwriteBytes(p, kHeaderSize + 7,
+                                                  &cycle, 8)
+                             .ok());
          }},
     };
 

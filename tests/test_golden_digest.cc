@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "common/serialize.hh"
+#include "common/envelope.hh"
 #include "common/thread_pool.hh"
 #include "core/configs.hh"
 #include "core/dse.hh"
@@ -65,7 +65,7 @@ goldenOpts()
 uint64_t
 digestOf(const std::string &json)
 {
-    return serializeFnv1a(json.data(), json.size());
+    return fnv1a(json);
 }
 
 Cell
