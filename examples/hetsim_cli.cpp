@@ -317,30 +317,6 @@ openStoreArg(const Args &args)
     return std::optional<core::ResultStore>(std::move(store.value()));
 }
 
-/** Store key of one run/gpu invocation: command identity plus every
- *  ExperimentOptions field that feeds the result. */
-std::string
-runStoreKey(const char *kind, const std::string &config,
-            const std::string &workload,
-            const core::ExperimentOptions &opts)
-{
-    // The checkpoint cadence participates: drains pause fetch, so
-    // runs with different cadences report different cycle counts.
-    char buf[176];
-    std::snprintf(buf, sizeof(buf),
-                  "|s%llu|x%.9g|f%.9g|c%u|w%llu|k%d|g%d|e%llu",
-                  static_cast<unsigned long long>(opts.seed),
-                  opts.scale, opts.freqGhz, opts.coresOverride,
-                  static_cast<unsigned long long>(
-                      opts.watchdogCycles),
-                  opts.noSkip ? 1 : 0,
-                  opts.variationGuardband ? 1 : 0,
-                  static_cast<unsigned long long>(
-                      opts.checkpointEveryCycles));
-    return std::string("run-report-v1|") + kind + "|" + config +
-           "|" + workload + buf;
-}
-
 /** Durable memo of one run/gpu invocation: the table scalars plus
  *  the full RunReport document, so a warm hit reproduces both the
  *  printed table and byte-identical --report-json output. */
@@ -460,10 +436,9 @@ cmdRun(const Args &args)
     const bool want_trace = !args.get("trace-out").empty();
 
     std::optional<core::ResultStore> store = openStoreArg(args);
-    const std::string key = store
-        ? runStoreKey("cpu", core::cpuConfigName(cfg),
-                      app.value()->name, opts)
-        : "";
+    const std::string key =
+        "run-report-v1|" + core::runKey("cpu", core::cpuConfigName(cfg),
+                                        app.value()->name, opts);
 
     RunMemo memo;
     bool from_store = false;
@@ -563,10 +538,9 @@ cmdGpu(const Args &args)
     const bool want_trace = !args.get("trace-out").empty();
 
     std::optional<core::ResultStore> store = openStoreArg(args);
-    const std::string key = store
-        ? runStoreKey("gpu", core::gpuConfigName(cfg),
-                      kernel.value()->name, opts)
-        : "";
+    const std::string key =
+        "run-report-v1|" + core::runKey("gpu", core::gpuConfigName(cfg),
+                                        kernel.value()->name, opts);
 
     RunMemo memo;
     bool from_store = false;

@@ -598,19 +598,10 @@ std::string
 dseCacheKey(uint64_t design_hash, const std::string &workload,
             const ExperimentOptions &opts)
 {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%016llx|%s|s%llu|x%.9g|f%.9g|g%d|c%u|w%llu|k%d",
-                  static_cast<unsigned long long>(design_hash),
-                  workload.c_str(),
-                  static_cast<unsigned long long>(opts.seed),
-                  opts.scale, opts.freqGhz,
-                  opts.variationGuardband ? 1 : 0,
-                  opts.coresOverride,
-                  static_cast<unsigned long long>(
-                      opts.watchdogCycles),
-                  opts.noSkip ? 1 : 0);
-    return buf;
+    char hash[24];
+    std::snprintf(hash, sizeof(hash), "%016llx",
+                  static_cast<unsigned long long>(design_hash));
+    return "dse-cell-v1|" + runKey("dse", hash, workload, opts);
 }
 
 namespace
@@ -639,12 +630,6 @@ struct DseCellPayload
 };
 #pragma pack(pop)
 
-std::string
-dseStoreKey(const std::string &memo_key)
-{
-    return "dse-cell-v1|" + memo_key;
-}
-
 /**
  * Shared fan-out: every prepared cell runs `simulate` unless the
  * in-memory memo holds its key, or — behind that — the durable store
@@ -669,8 +654,7 @@ evaluateCells(const std::vector<PreparedCell<Bundle>> &cells,
             p.cores = cell.cores;
             bool from_store = false;
             if (store != nullptr) {
-                const Result<std::string> hit =
-                    store->get(dseStoreKey(cell.key));
+                const Result<std::string> hit = store->get(cell.key);
                 DseCellPayload payload;
                 if (hit.ok() &&
                     hit.value().size() == sizeof(payload)) {
@@ -688,7 +672,7 @@ evaluateCells(const std::vector<PreparedCell<Bundle>> &cells,
                     payload.seconds = p.seconds;
                     payload.energyJ = p.energyJ;
                     const Status s = store->put(
-                        dseStoreKey(cell.key),
+                        cell.key,
                         std::string(reinterpret_cast<const char *>(
                                         &payload),
                                     sizeof(payload)));

@@ -193,7 +193,8 @@ class DseCache
     uint64_t misses_ = 0;
 };
 
-/** Cache key of one (design, workload, options) cell. */
+/** Memo and store key of one (design, workload, options) cell: the
+ *  DSE payload tag plus runKey("dse", hex design hash, ...). */
 std::string dseCacheKey(uint64_t design_hash,
                         const std::string &workload,
                         const ExperimentOptions &opts);

@@ -1,5 +1,6 @@
 #include "core/experiment.hh"
 
+#include <cstdio>
 #include <cstring>
 #include <memory>
 
@@ -123,36 +124,14 @@ fillGpuReport(obs::RunReport &rep, gpu::Gpu &g,
     rep.groups.push_back(obs::snapshotGroup(mem.dram().stats()));
 }
 
-/** Exact (bit-level) double rendering for identity keys, independent
- *  of locale and formatting width. */
-std::string
-keyBits(double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return std::to_string(bits);
-}
-
-/** Run-identity key for checkpoint fencing: every option that changes
- *  the simulated machine or workload participates, so a checkpoint is
- *  only ever restored into the exact invocation that wrote it. The
- *  cadence is included because only a matching cadence preserves the
- *  restore-equals-uninterrupted guarantee. */
+/** Checkpoint identity: a checkpoint is only ever restored into the
+ *  exact invocation that wrote it. */
 std::string
 checkpointKeyFor(const char *kind, const std::string &config,
                  const std::string &workload,
                  const ExperimentOptions &opts)
 {
-    if (!opts.checkpointKey.empty())
-        return opts.checkpointKey;
-    return std::string(kind) + "|" + config + "|" + workload +
-           "|seed=" + std::to_string(opts.seed) +
-           "|scale=" + keyBits(opts.scale) +
-           "|freq=" + keyBits(opts.freqGhz) +
-           "|cores=" + std::to_string(opts.coresOverride) +
-           "|wd=" + std::to_string(opts.watchdogCycles) +
-           "|skip=" + (opts.noSkip ? "0" : "1") +
-           "|every=" + std::to_string(opts.checkpointEveryCycles);
+    return "checkpoint|" + runKey(kind, config, workload, opts);
 }
 
 /** Build the save/preempt hook for a checkpointed run. */
@@ -174,6 +153,29 @@ makeHook(const ExperimentOptions &opts, const std::string &key)
 }
 
 } // namespace
+
+std::string
+runKey(const std::string &kind, const std::string &config,
+       const std::string &workload, const ExperimentOptions &opts)
+{
+    const auto bits = [](double v) {
+        unsigned long long b;
+        std::memcpy(&b, &v, sizeof(b));
+        return b;
+    };
+    char buf[192];
+    std::snprintf(buf, sizeof(buf),
+                  "|seed=%llu|scale=%016llx|freq=%016llx|gb=%d"
+                  "|cores=%u|wd=%llu|skip=%d|every=%llu",
+                  static_cast<unsigned long long>(opts.seed),
+                  bits(opts.scale), bits(opts.freqGhz),
+                  opts.variationGuardband ? 1 : 0, opts.coresOverride,
+                  static_cast<unsigned long long>(opts.watchdogCycles),
+                  opts.noSkip ? 1 : 0,
+                  static_cast<unsigned long long>(
+                      opts.checkpointEveryCycles));
+    return kind + "|" + config + "|" + workload + buf;
+}
 
 CpuOutcome
 runCpuExperiment(CpuConfig cfg, const workload::AppProfile &app,

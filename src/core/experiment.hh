@@ -47,16 +47,26 @@ struct ExperimentOptions
      *  and removes the file on successful completion. @{ */
     std::string checkpointPath;
     uint64_t checkpointEveryCycles = 0;
-    /** Run-identity key stored in the checkpoint; empty derives one
-     *  from the config/workload/seed/scale/flags. A mismatched key is
-     *  refused at restore (never silently resumed). */
-    std::string checkpointKey;
     /** When non-null and the pointee becomes nonzero (e.g. a SIGTERM
      *  handler), the run drains, saves a checkpoint, and returns with
      *  `preempted` set instead of completing. */
     const volatile sig_atomic_t *preempt = nullptr;
     /** @} */
 };
+
+/**
+ * Identity of one run: what ran (`kind`: "cpu", "gpu", "trace",
+ * "dse"), on which configuration, with which workload, plus every
+ * option that can change a simulated result, doubles rendered
+ * bit-exactly. The checkpoint cadence is part of it: a drain pauses
+ * fetch, so runs with different cadences report different (equally
+ * valid) cycle counts. Store entries, checkpoints and the DSE memo
+ * are keyed by a payload tag plus this string; it is the only place
+ * that lists the identity fields.
+ */
+std::string runKey(const std::string &kind, const std::string &config,
+                   const std::string &workload,
+                   const ExperimentOptions &opts);
 
 /** Outcome of one (config, app) run. */
 struct CpuOutcome

@@ -102,18 +102,17 @@ decodeCellPayload(const std::string &payload, CellResult *res)
     return true;
 }
 
-double
-effectiveScale(const SweepCell &cell, const SweepOptions &opts)
+/** The options one cell runs with: the sweep's, with the cell's
+ *  scale and watchdog overrides applied. */
+ExperimentOptions
+cellOptions(const SweepCell &cell, const SweepOptions &opts)
 {
-    return cell.scaleOverride > 0.0 ? cell.scaleOverride
-                                    : opts.exp.scale;
-}
-
-uint64_t
-effectiveWatchdog(const SweepCell &cell, const SweepOptions &opts)
-{
-    return cell.watchdogCycles != ~0ull ? cell.watchdogCycles
-                                        : opts.exp.watchdogCycles;
+    ExperimentOptions exp = opts.exp;
+    if (cell.scaleOverride > 0.0)
+        exp.scale = cell.scaleOverride;
+    if (cell.watchdogCycles != ~0ull)
+        exp.watchdogCycles = cell.watchdogCycles;
+    return exp;
 }
 
 /** Mid-run checkpoint file of one cell, named by the FNV-64 of its
@@ -146,20 +145,15 @@ CellResult
 runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
 {
     CellResult res;
-    ExperimentOptions exp = opts.exp;
-    exp.scale = effectiveScale(cell, opts);
-    exp.watchdogCycles = effectiveWatchdog(cell, opts);
+    ExperimentOptions exp = cellOptions(cell, opts);
     // Per-cell mid-run checkpoints (synthetic cells only: a trace
     // cell's progress is its file cursor, which the journal already
-    // covers at cell granularity).
+    // covers at cell granularity). The run derives the checkpoint's
+    // identity key from these same per-cell options.
     if (!opts.checkpointDir.empty() &&
-        cell.kind != SweepCell::Kind::CpuTrace) {
-        // The cell key already fences the cadence, so it doubles as
-        // the checkpoint identity key.
-        const std::string key = cellStoreKey(cell, opts);
-        exp.checkpointPath = cellCheckpointPath(key, opts);
-        exp.checkpointKey = key;
-    }
+        cell.kind != SweepCell::Kind::CpuTrace)
+        exp.checkpointPath =
+            cellCheckpointPath(cellStoreKey(cell, opts), opts);
 
     switch (cell.kind) {
       case SweepCell::Kind::CpuApp:
@@ -257,62 +251,27 @@ runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
     return res;
 }
 
-void
-writeAll(int fd, const void *data, size_t n)
-{
-    const char *p = static_cast<const char *>(data);
-    while (n > 0) {
-        const ssize_t w = ::write(fd, p, n);
-        if (w <= 0) {
-            if (errno == EINTR)
-                continue;
-            return; // Parent will see a short payload.
-        }
-        p += w;
-        n -= static_cast<size_t>(w);
-    }
-}
-
-/** Child side: run the cell and ship the result up the pipe. */
+/** Child side: run the cell and ship its encoded result up the pipe
+ *  (a short write leaves the parent a short payload: a crash). */
 [[noreturn]] void
 childRunCell(int fd, const SweepCell &cell, const SweepOptions &opts)
 {
-    const CellResult res = runCellInProcess(cell, opts);
-    WireResult wire;
-    wire.outcome = static_cast<uint8_t>(res.outcome);
-    wire.code = static_cast<uint8_t>(res.status.code());
-    wire.cycles = res.cycles;
-    wire.ops = res.ops;
-    wire.seconds = res.seconds;
-    wire.energyJ = res.energyJ;
-    const std::string &msg = res.status.message();
-    wire.msgLen = static_cast<uint32_t>(msg.size());
-    writeAll(fd, &wire, sizeof(wire));
-    writeAll(fd, msg.data(), msg.size());
+    const std::string payload =
+        encodeCellPayload(runCellInProcess(cell, opts));
+    (void)writeAllFd(fd, payload.data(), payload.size(), "result pipe");
     // _exit keeps the child from re-running parent atexit hooks.
     ::_exit(0);
 }
 
-CellResult
-decodeWire(const WireResult &wire, const std::string &msg)
+/** True once `buf` holds a whole encodeCellPayload() message. */
+bool
+cellPayloadComplete(const std::string &buf)
 {
-    CellResult res;
-    res.outcome = static_cast<CellOutcome>(wire.outcome);
-    const auto code = static_cast<ErrorCode>(wire.code);
-    res.status = code == ErrorCode::Ok
-        ? Status()
-        : Status::error(code, "%s", msg.c_str());
-    res.cycles = wire.cycles;
-    res.ops = wire.ops;
-    res.seconds = wire.seconds;
-    res.energyJ = wire.energyJ;
-    // A preempted child saved a checkpoint and stopped: keep the
-    // never-journal / never-retry semantics across the pipe.
-    if (code == ErrorCode::Preempted) {
-        res.transient = true;
-        res.preempted = true;
-    }
-    return res;
+    WireResult wire;
+    if (buf.size() < sizeof(wire))
+        return false;
+    std::memcpy(&wire, buf.data(), sizeof(wire));
+    return buf.size() >= sizeof(wire) + wire.msgLen;
 }
 
 std::string
@@ -325,6 +284,36 @@ describeChildDeath(int wstatus)
         return "exited with code " +
             std::to_string(WEXITSTATUS(wstatus));
     return "died abnormally";
+}
+
+/** Result of a reaped child: the payload it delivered, or a contained
+ *  (retryable: crashes may be environmental) crash when it died
+ *  without delivering one. */
+CellResult
+childResult(const std::string &buf, int wstatus)
+{
+    CellResult res;
+    if (decodeCellPayload(buf, &res))
+        return res;
+    res.outcome = CellOutcome::Failed;
+    res.status = Status::error(ErrorCode::Crashed, "cell process %s",
+                               describeChildDeath(wstatus).c_str());
+    res.transient = true;
+    return res;
+}
+
+/** A child killed at the wall-clock limit (host-load dependent, so
+ *  retryable). */
+CellResult
+wallClockTimeout(const SweepOptions &opts)
+{
+    CellResult res;
+    res.outcome = CellOutcome::TimedOut;
+    res.status = Status::error(ErrorCode::Timeout,
+                               "wall-clock watchdog fired after %.0f ms",
+                               opts.wallLimitMs);
+    res.transient = true;
+    return res;
 }
 
 /** Parent side: fork, read the pipe under the wall-clock watchdog. */
@@ -372,13 +361,7 @@ runCellIsolated(const SweepCell &cell, const SweepOptions &opts)
             ::kill(pid, SIGTERM);
             preempt_sent = true;
         }
-        if (buf.size() >= sizeof(WireResult)) {
-            WireResult wire;
-            std::memcpy(&wire, buf.data(), sizeof(wire));
-            if (buf.size() >= sizeof(wire) + wire.msgLen)
-                break; // Full payload in hand.
-        }
-        if (eof)
+        if (eof || cellPayloadComplete(buf))
             break;
         int wait_ms = -1;
         if (deadline > 0.0) {
@@ -411,38 +394,11 @@ runCellIsolated(const SweepCell &cell, const SweepOptions &opts)
     }
     ::close(fds[0]);
 
-    CellResult res;
-    if (timed_out) {
+    if (timed_out)
         ::kill(pid, SIGKILL);
-        int wstatus = 0;
-        ::waitpid(pid, &wstatus, 0);
-        res.outcome = CellOutcome::TimedOut;
-        res.status = Status::error(
-            ErrorCode::Timeout,
-            "wall-clock watchdog fired after %.0f ms",
-            opts.wallLimitMs);
-        res.transient = true; // Host-load dependent: retryable.
-        return res;
-    }
-
     int wstatus = 0;
     ::waitpid(pid, &wstatus, 0);
-
-    WireResult wire;
-    if (buf.size() >= sizeof(wire)) {
-        std::memcpy(&wire, buf.data(), sizeof(wire));
-        if (buf.size() >= sizeof(wire) + wire.msgLen) {
-            const std::string msg =
-                buf.substr(sizeof(wire), wire.msgLen);
-            return decodeWire(wire, msg);
-        }
-    }
-    // The child died before delivering a result: crash, contained.
-    res.outcome = CellOutcome::Failed;
-    res.status = Status::error(ErrorCode::Crashed, "cell process %s",
-                               describeChildDeath(wstatus).c_str());
-    res.transient = true; // Crashes may be environmental: retryable.
-    return res;
+    return timed_out ? wallClockTimeout(opts) : childResult(buf, wstatus);
 }
 
 /**
@@ -653,37 +609,9 @@ runSweepParallel(const std::vector<SweepCell> &cells,
         int wstatus = 0;
         ::waitpid(t.pid, &wstatus, 0);
         t.pid = -1;
-        if (timed_out) {
-            t.buf.clear();
-            CellResult r;
-            r.outcome = CellOutcome::TimedOut;
-            r.status = Status::error(
-                ErrorCode::Timeout,
-                "wall-clock watchdog fired after %.0f ms",
-                opts.wallLimitMs);
-            r.transient = true; // Host-load dependent: retryable.
-            settle(i, std::move(r));
-            return;
-        }
-        WireResult wire;
-        if (t.buf.size() >= sizeof(wire)) {
-            std::memcpy(&wire, t.buf.data(), sizeof(wire));
-            if (t.buf.size() >= sizeof(wire) + wire.msgLen) {
-                const std::string msg =
-                    t.buf.substr(sizeof(wire), wire.msgLen);
-                t.buf.clear();
-                settle(i, decodeWire(wire, msg));
-                return;
-            }
-        }
-        // Died before delivering a result: crash, contained.
+        CellResult r = timed_out ? wallClockTimeout(opts)
+                                 : childResult(t.buf, wstatus);
         t.buf.clear();
-        CellResult r;
-        r.outcome = CellOutcome::Failed;
-        r.status = Status::error(ErrorCode::Crashed,
-                                 "cell process %s",
-                                 describeChildDeath(wstatus).c_str());
-        r.transient = true;
         settle(i, std::move(r));
     };
 
@@ -837,14 +765,7 @@ runSweepParallel(const std::vector<SweepCell> &cells,
                     t.buf.append(chunk, static_cast<size_t>(r));
                 const bool eof = r == 0 ||
                     (r < 0 && errno != EINTR && errno != EAGAIN);
-                bool complete = false;
-                if (t.buf.size() >= sizeof(WireResult)) {
-                    WireResult wire;
-                    std::memcpy(&wire, t.buf.data(), sizeof(wire));
-                    complete =
-                        t.buf.size() >= sizeof(wire) + wire.msgLen;
-                }
-                if (complete || eof) {
+                if (eof || cellPayloadComplete(t.buf)) {
                     finishRunning(i, false);
                     continue;
                 }
@@ -1034,34 +955,14 @@ SweepReport::preempted() const
 std::string
 cellStoreKey(const SweepCell &cell, const SweepOptions &opts)
 {
-    const char *kind = "app";
-    switch (cell.kind) {
-      case SweepCell::Kind::CpuTrace:
+    const char *kind = "cpu";
+    if (cell.kind == SweepCell::Kind::CpuTrace)
         kind = "trace";
-        break;
-      case SweepCell::Kind::GpuKernel:
-        kind = "kernel";
-        break;
-      default:
-        break;
-    }
-    // The checkpoint cadence participates: a drain pauses fetch for
-    // some cycles, so runs with different cadences report different
-    // (equally valid) cycle counts and must not share journal bytes.
-    char buf[144];
-    std::snprintf(buf, sizeof(buf),
-                  "|x%.9g|w%llu|s%llu|f%.9g|g%d|c%u|k%d|e%llu",
-                  effectiveScale(cell, opts),
-                  static_cast<unsigned long long>(
-                      effectiveWatchdog(cell, opts)),
-                  static_cast<unsigned long long>(opts.exp.seed),
-                  opts.exp.freqGhz,
-                  opts.exp.variationGuardband ? 1 : 0,
-                  opts.exp.coresOverride, opts.exp.noSkip ? 1 : 0,
-                  static_cast<unsigned long long>(
-                      opts.exp.checkpointEveryCycles));
-    return std::string("sweep-cell-v1|") + kind + "|" +
-        cellConfigName(cell) + "|" + cell.workload + buf;
+    else if (cell.kind == SweepCell::Kind::GpuKernel)
+        kind = "gpu";
+    return "sweep-cell-v1|" + runKey(kind, cellConfigName(cell),
+                                     cell.workload,
+                                     cellOptions(cell, opts));
 }
 
 std::string

@@ -198,14 +198,14 @@ struct SweepReport
 };
 
 /**
- * Durable-journal key of one cell under the given options: cell
- * identity (kind, config, workload, effective scale and watchdog)
- * plus every ExperimentOptions field that feeds the result. Two
- * identical cells share a key — and, the workloads being
- * deterministic, identical journaled bytes. Trace cells are keyed by
- * path: re-recording a trace in place without clearing the store is
- * the caller's responsibility (the trace *format* is fenced by the
- * store's trace-version field).
+ * Durable-journal key of one cell under the given options: the
+ * journal's payload tag plus runKey() of the cell's kind, config and
+ * workload under the sweep's options with the cell's scale and
+ * watchdog overrides applied. Two identical cells share a key — and,
+ * the workloads being deterministic, identical journaled bytes.
+ * Trace cells are keyed by path: re-recording a trace in place
+ * without clearing the store is the caller's responsibility (the
+ * trace *format* is fenced by the store's trace-version field).
  */
 std::string cellStoreKey(const SweepCell &cell,
                          const SweepOptions &opts);

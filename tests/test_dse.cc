@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -310,6 +311,18 @@ TEST(DseCacheKey, DistinguishesOptionsAndWorkload)
     EXPECT_NE(dseCacheKey(1, "cpu:fft", a), dseCacheKey(2, "cpu:fft", a));
     EXPECT_NE(dseCacheKey(1, "cpu:fft", a), dseCacheKey(1, "cpu:fmm", a));
     EXPECT_EQ(dseCacheKey(1, "cpu:fft", a), dseCacheKey(1, "cpu:fft", a));
+
+    // Doubles are keyed exactly: values that agree to nine
+    // significant digits are still different cells.
+    ExperimentOptions c = a, d = a;
+    c.scale = 0.1;
+    d.scale = 0.1000000001;
+    EXPECT_NE(dseCacheKey(1, "cpu:fft", c), dseCacheKey(1, "cpu:fft", d));
+    c = a;
+    d = a;
+    c.freqGhz = 2.0;
+    d.freqGhz = 2.0000000001;
+    EXPECT_NE(dseCacheKey(1, "cpu:fft", c), dseCacheKey(1, "cpu:fft", d));
 }
 
 TEST(Evaluate, ResultsAreBitIdenticalAcrossJobCounts)
@@ -382,6 +395,62 @@ TEST(Evaluate, SecondPassIsServedFromTheCache)
     other.exp.seed = 99;
     evaluateCpuDesigns(designs, *app.value(), other, pool, cache);
     EXPECT_EQ(cache.misses(), 2 * designs.size());
+}
+
+/**
+ * The durable tier: a repeated exploration in a new process (fresh
+ * memo, same store directory) is served entirely from the store, bit
+ * for bit. Four pool threads write and read envelopes concurrently.
+ */
+TEST(Evaluate, FreshCacheIsServedFromTheDurableStore)
+{
+    const auto app = workload::findCpuApp("fft");
+    ASSERT_TRUE(app.ok());
+    auto designs = enumerateCpuDesigns();
+    designs.resize(16);
+
+    char tmpl[] = "/tmp/hetsim_dse_store_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+
+    DseOptions opts;
+    opts.exp.scale = 0.01;
+    opts.jobs = 4;
+    ThreadPool pool(opts.jobs);
+
+    Result<ResultStore> cold_store = ResultStore::open(dir);
+    ASSERT_TRUE(cold_store.ok()) << cold_store.status().toString();
+    opts.store = &cold_store.value();
+    DseCache cold_cache;
+    const auto cold = evaluateCpuDesigns(designs, *app.value(), opts,
+                                         pool, cold_cache);
+    ASSERT_EQ(cold.size(), designs.size());
+    EXPECT_EQ(cold_store.value().counters().puts, designs.size());
+
+    Result<ResultStore> warm_store = ResultStore::open(dir);
+    ASSERT_TRUE(warm_store.ok()) << warm_store.status().toString();
+    opts.store = &warm_store.value();
+    DseCache warm_cache;
+    const auto warm = evaluateCpuDesigns(designs, *app.value(), opts,
+                                         pool, warm_cache);
+    const ResultStore::Counters c = warm_store.value().counters();
+    EXPECT_EQ(c.hits, designs.size());
+    EXPECT_EQ(c.misses, 0u);
+    EXPECT_EQ(c.puts, 0u);
+    EXPECT_EQ(c.quarantined, 0u);
+
+    ASSERT_EQ(warm.size(), cold.size());
+    for (size_t i = 0; i < warm.size(); ++i) {
+        EXPECT_EQ(warm[i].name, cold[i].name);
+        EXPECT_EQ(warm[i].hash, cold[i].hash);
+        EXPECT_EQ(warm[i].seconds, cold[i].seconds); // Exact.
+        EXPECT_EQ(warm[i].energyJ, cold[i].energyJ); // Exact.
+        EXPECT_EQ(warm[i].areaMm2, cold[i].areaMm2);
+        EXPECT_EQ(warm[i].cores, cold[i].cores);
+    }
+
+    const std::string cmd = "rm -rf " + dir;
+    [[maybe_unused]] int rc = std::system(cmd.c_str());
 }
 
 TEST(Evaluate, AreaBudgetFiltersDesigns)

@@ -355,6 +355,21 @@ TEST(SweepStoreKey, EncodesCellAndOptionIdentity)
     watchdogged.exp.watchdogCycles = 123;
     EXPECT_NE(cellStoreKey(a, opts), cellStoreKey(a, watchdogged));
 
+    // Doubles are keyed exactly: values that agree to nine
+    // significant digits are still different runs.
+    SweepOptions scaled = opts, nudged_scale = opts;
+    scaled.exp.scale = 0.1;
+    nudged_scale.exp.scale = 0.1000000001;
+    EXPECT_NE(cellStoreKey(a, scaled), cellStoreKey(a, nudged_scale));
+    EXPECT_NE(
+        cellStoreKey(cpuAppCell(CpuConfig::BaseCmos, "fft", 0.1), opts),
+        cellStoreKey(cpuAppCell(CpuConfig::BaseCmos, "fft", 0.1000000001),
+                     opts));
+    SweepOptions clocked = opts, nudged_freq = opts;
+    clocked.exp.freqGhz = 2.0;
+    nudged_freq.exp.freqGhz = 2.0000000001;
+    EXPECT_NE(cellStoreKey(a, clocked), cellStoreKey(a, nudged_freq));
+
     // Execution strategy (isolation, retries) does NOT change the
     // key: the simulated result is the same either way.
     SweepOptions inlined = opts;
