@@ -405,19 +405,13 @@ writeRunArtifacts(const Args &args, obs::RunReport &report,
     }
 }
 
-int
-cmdRun(const Args &args)
+/** Options shared by run and gpu, including checkpoint/restore. */
+core::ExperimentOptions
+runOptions(const Args &args)
 {
-    const auto cfg = cpuConfigByName(args.get("config", "BaseCMOS"));
-    const auto app = workload::findCpuApp(args.get("app", "fft"));
-    if (!app.ok())
-        dieOn(app.status());
     core::ExperimentOptions opts;
     opts.scale = args.getD("scale", 1.0);
-    opts.freqGhz = args.getD("freq", 2.0);
     opts.seed = args.getU("seed", 1);
-    opts.coresOverride =
-        static_cast<uint32_t>(args.getU("cores", 0));
     opts.noSkip = args.getU("no-skip", 0) != 0;
     opts.checkpointPath = args.get("checkpoint");
     opts.checkpointEveryCycles = args.getU("checkpoint-every", 0);
@@ -428,22 +422,47 @@ cmdRun(const Args &args)
         installPreemptHandler();
         opts.preempt = &g_preempt;
     }
+    return opts;
+}
 
+/** The metrics rows run and gpu print. */
+void
+addMemoRows(TablePrinter &t, const RunMemo &memo, const char *ops_label)
+{
+    const double power_w =
+        memo.seconds > 0.0 ? memo.energyJ / memo.seconds : 0.0;
+    t.addRow({"cycles", std::to_string(memo.cycles)});
+    t.addRow({ops_label, std::to_string(memo.ops)});
+    t.addRow({"time (ms)", formatDouble(memo.seconds * 1e3, 4)});
+    t.addRow({"energy (mJ)", formatDouble(memo.energyJ * 1e3, 4)});
+    t.addRow({"power (W)", formatDouble(power_w, 3)});
+}
+
+/**
+ * The body run and gpu share. With --store, an untraced invocation
+ * whose key has a verified entry is served from it; otherwise
+ * `simulate(report, trace, &memo)` runs the experiment (false: it
+ * stopped at a preemption checkpoint) and the result is journaled.
+ * Tracing records live pipeline events, so a traced run always
+ * executes, and still journals. `print(memo)` prints the table, then
+ * the --report-json / --trace-out artifacts are written. Returns the
+ * exit code.
+ */
+template <typename Simulate, typename Print>
+int
+runMemoized(const Args &args, const char *cmd,
+            const core::ExperimentOptions &opts, const std::string &key,
+            Simulate simulate, Print print)
+{
     obs::RunReport report;
     obs::TraceBuffer trace(
         static_cast<size_t>(args.getU("trace-capacity", 65536)));
     const std::string report_path = args.get("report-json");
     const bool want_trace = !args.get("trace-out").empty();
-
     std::optional<core::ResultStore> store = openStoreArg(args);
-    const std::string key =
-        "run-report-v1|" + core::runKey("cpu", core::cpuConfigName(cfg),
-                                        app.value()->name, opts);
 
     RunMemo memo;
     bool from_store = false;
-    // Tracing records live pipeline events, so a traced run always
-    // executes; it still journals its result below.
     if (store && !want_trace) {
         if (Result<std::string> hit = store->get(key); hit.ok())
             from_store = decodeRunMemo(hit.value(), &memo);
@@ -453,48 +472,25 @@ cmdRun(const Args &args)
         // Fill the report whenever it is journaled, not only when
         // --report-json asked for it: a later warm hit needs it.
         const bool want_report = !report_path.empty() || store;
-        const core::CpuOutcome out = core::runCpuExperiment(
-            cfg, *app.value(), opts, want_report ? &report : nullptr,
-            want_trace ? &trace : nullptr);
-        if (out.preempted) {
+        if (!simulate(want_report ? &report : nullptr,
+                      want_trace ? &trace : nullptr, &memo)) {
             std::printf("preempted at cycle %llu: checkpoint saved "
                         "to %s; rerun the same command to resume\n",
-                        static_cast<unsigned long long>(out.cycles),
+                        static_cast<unsigned long long>(memo.cycles),
                         opts.checkpointPath.c_str());
             return kExitPreempted;
         }
-        report.designHash =
-            core::designHash(core::cpuHybridFromConfig(cfg));
-        memo.cycles = out.cycles;
-        memo.ops = out.committedOps;
-        memo.seconds = out.metrics.seconds;
-        memo.energyJ = out.metrics.energyJ;
         if (want_report)
             memo.reportJson = report.toJson();
         if (store) {
             if (Status s = store->put(key, encodeRunMemo(memo));
                 !s.ok())
-                warn("run: store put failed: %s",
+                warn("%s: store put failed: %s", cmd,
                      s.toString().c_str());
         }
     }
 
-    const double power_w =
-        memo.seconds > 0.0 ? memo.energyJ / memo.seconds : 0.0;
-    TablePrinter t("hetsim run: " +
-                       std::string(core::cpuConfigName(cfg)) + " / " +
-                       app.value()->name,
-                   {"metric", "value"});
-    t.addRow({"cycles", std::to_string(memo.cycles)});
-    t.addRow({"committed ops", std::to_string(memo.ops)});
-    t.addRow({"time (ms)", formatDouble(memo.seconds * 1e3, 4)});
-    t.addRow({"energy (mJ)", formatDouble(memo.energyJ * 1e3, 4)});
-    t.addRow({"power (W)", formatDouble(power_w, 3)});
-    char ed2[32];
-    std::snprintf(ed2, sizeof(ed2), "%.3e",
-                  memo.energyJ * memo.seconds * memo.seconds);
-    t.addRow({"ED^2 (J s^2)", ed2});
-    t.print();
+    print(memo);
     if (from_store) {
         std::printf("store: verified hit (%s)\n",
                     store->entryPath(key).c_str());
@@ -503,6 +499,49 @@ cmdRun(const Args &args)
     } else {
         writeRunArtifacts(args, report, trace);
     }
+    return 0;
+}
+
+int
+cmdRun(const Args &args)
+{
+    const auto cfg = cpuConfigByName(args.get("config", "BaseCMOS"));
+    const auto app = workload::findCpuApp(args.get("app", "fft"));
+    if (!app.ok())
+        dieOn(app.status());
+    core::ExperimentOptions opts = runOptions(args);
+    opts.freqGhz = args.getD("freq", 2.0);
+    opts.coresOverride =
+        static_cast<uint32_t>(args.getU("cores", 0));
+    const std::string config = core::cpuConfigName(cfg);
+    const std::string key = "run-report-v1|" +
+        core::runKey("cpu", config, app.value()->name, opts);
+
+    TablePrinter t("hetsim run: " + config + " / " + app.value()->name,
+                   {"metric", "value"});
+    const int rc = runMemoized(
+        args, "run", opts, key,
+        [&](obs::RunReport *report, obs::TraceBuffer *trace,
+            RunMemo *memo) {
+            const core::CpuOutcome out = core::runCpuExperiment(
+                cfg, *app.value(), opts, report, trace);
+            if (report != nullptr)
+                report->designHash =
+                    core::designHash(core::cpuHybridFromConfig(cfg));
+            *memo = {out.cycles, out.committedOps, out.metrics.seconds,
+                     out.metrics.energyJ, ""};
+            return !out.preempted;
+        },
+        [&](const RunMemo &memo) {
+            addMemoRows(t, memo, "committed ops");
+            char ed2[32];
+            std::snprintf(ed2, sizeof(ed2), "%.3e",
+                          memo.energyJ * memo.seconds * memo.seconds);
+            t.addRow({"ED^2 (J s^2)", ed2});
+            t.print();
+        });
+    if (rc != 0)
+        return rc;
     const std::string csv = args.get("csv");
     if (!csv.empty() && !t.writeCsv(csv))
         die("cannot write '%s'", csv.c_str());
@@ -517,88 +556,31 @@ cmdGpu(const Args &args)
         workload::findGpuKernel(args.get("kernel", "matrixmul"));
     if (!kernel.ok())
         dieOn(kernel.status());
-    core::ExperimentOptions opts;
-    opts.scale = args.getD("scale", 1.0);
-    opts.seed = args.getU("seed", 1);
-    opts.noSkip = args.getU("no-skip", 0) != 0;
-    opts.checkpointPath = args.get("checkpoint");
-    opts.checkpointEveryCycles = args.getU("checkpoint-every", 0);
-    if (opts.checkpointPath.empty() &&
-        opts.checkpointEveryCycles > 0)
-        die("--checkpoint-every needs --checkpoint <path>");
-    if (!opts.checkpointPath.empty()) {
-        installPreemptHandler();
-        opts.preempt = &g_preempt;
-    }
+    const core::ExperimentOptions opts = runOptions(args);
+    const std::string config = core::gpuConfigName(cfg);
+    const std::string key = "run-report-v1|" +
+        core::runKey("gpu", config, kernel.value()->name, opts);
 
-    obs::RunReport report;
-    obs::TraceBuffer trace(
-        static_cast<size_t>(args.getU("trace-capacity", 65536)));
-    const std::string report_path = args.get("report-json");
-    const bool want_trace = !args.get("trace-out").empty();
-
-    std::optional<core::ResultStore> store = openStoreArg(args);
-    const std::string key =
-        "run-report-v1|" + core::runKey("gpu", core::gpuConfigName(cfg),
-                                        kernel.value()->name, opts);
-
-    RunMemo memo;
-    bool from_store = false;
-    if (store && !want_trace) {
-        if (Result<std::string> hit = store->get(key); hit.ok())
-            from_store = decodeRunMemo(hit.value(), &memo);
-    }
-
-    if (!from_store) {
-        const bool want_report = !report_path.empty() || store;
-        const core::GpuOutcome out = core::runGpuExperiment(
-            cfg, *kernel.value(), opts,
-            want_report ? &report : nullptr,
-            want_trace ? &trace : nullptr);
-        if (out.preempted) {
-            std::printf("preempted at cycle %llu: checkpoint saved "
-                        "to %s; rerun the same command to resume\n",
-                        static_cast<unsigned long long>(out.cycles),
-                        opts.checkpointPath.c_str());
-            return kExitPreempted;
-        }
-        report.designHash =
-            core::designHash(core::gpuHybridFromConfig(cfg));
-        memo.cycles = out.cycles;
-        memo.ops = out.issuedOps;
-        memo.seconds = out.metrics.seconds;
-        memo.energyJ = out.metrics.energyJ;
-        if (want_report)
-            memo.reportJson = report.toJson();
-        if (store) {
-            if (Status s = store->put(key, encodeRunMemo(memo));
-                !s.ok())
-                warn("gpu: store put failed: %s",
-                     s.toString().c_str());
-        }
-    }
-
-    const double power_w =
-        memo.seconds > 0.0 ? memo.energyJ / memo.seconds : 0.0;
-    TablePrinter t("hetsim gpu: " +
-                       std::string(core::gpuConfigName(cfg)) + " / " +
-                       kernel.value()->name,
-                   {"metric", "value"});
-    t.addRow({"cycles", std::to_string(memo.cycles)});
-    t.addRow({"issued ops", std::to_string(memo.ops)});
-    t.addRow({"time (ms)", formatDouble(memo.seconds * 1e3, 4)});
-    t.addRow({"energy (mJ)", formatDouble(memo.energyJ * 1e3, 4)});
-    t.addRow({"power (W)", formatDouble(power_w, 3)});
-    t.print();
-    if (from_store) {
-        std::printf("store: verified hit (%s)\n",
-                    store->entryPath(key).c_str());
-        if (!report_path.empty())
-            writeReportBytes(report_path, memo.reportJson);
-    } else {
-        writeRunArtifacts(args, report, trace);
-    }
-    return 0;
+    return runMemoized(
+        args, "gpu", opts, key,
+        [&](obs::RunReport *report, obs::TraceBuffer *trace,
+            RunMemo *memo) {
+            const core::GpuOutcome out = core::runGpuExperiment(
+                cfg, *kernel.value(), opts, report, trace);
+            if (report != nullptr)
+                report->designHash =
+                    core::designHash(core::gpuHybridFromConfig(cfg));
+            *memo = {out.cycles, out.issuedOps, out.metrics.seconds,
+                     out.metrics.energyJ, ""};
+            return !out.preempted;
+        },
+        [&](const RunMemo &memo) {
+            TablePrinter t("hetsim gpu: " + config + " / " +
+                               kernel.value()->name,
+                           {"metric", "value"});
+            addMemoRows(t, memo, "issued ops");
+            t.print();
+        });
 }
 
 int

@@ -18,22 +18,6 @@ namespace hetsim
 namespace
 {
 
-#pragma pack(push, 1)
-struct EnvelopeHeader
-{
-    char magic[4];
-    uint32_t schema;
-    uint32_t traceVersion;
-    uint32_t keyLen;
-    uint64_t payloadLen;
-    uint64_t keyFnv;
-    uint64_t payloadFnv;
-};
-#pragma pack(pop)
-
-static_assert(sizeof(EnvelopeHeader) == kEnvelopeHeaderSize,
-              "envelope header layout changed");
-
 /** Temp-file sequence shared by every writer in the process, so two
  *  threads writing the same path never pick the same temp name. */
 std::atomic<uint64_t> g_tempSeq{0};

@@ -3,22 +3,11 @@
  * The one checksummed file envelope behind every durable artifact:
  * result-store entries and mid-run checkpoints.
  *
- * An envelope file is a packed 40-byte header, the key bytes, then
- * the payload bytes:
- *
- *  | offset | field        | meaning                                |
- *  |--------|--------------|----------------------------------------|
- *  | 0      | magic[4]     | family: "HRS\n" store, "HCP\n" ckpt    |
- *  | 4      | schema       | family layout version                  |
- *  | 8      | traceVersion | trace-format fence                     |
- *  | 12     | keyLen       | key bytes that follow the header       |
- *  | 16     | payloadLen   | payload bytes that follow the key      |
- *  | 24     | keyFnv       | fnv1a(key)                             |
- *  | 32     | payloadFnv   | fnv1a(payload)                         |
- *
- * Every byte after the magic is covered by a check: a family or
- * version mismatch, a size that disagrees with the file, or either
- * checksum failing makes the whole file untrusted.
+ * An envelope file is the packed 40-byte EnvelopeHeader, the key
+ * bytes, then the payload bytes. Every header byte after the magic is
+ * covered by a check: a family or version mismatch, a size that
+ * disagrees with the file, or either checksum failing makes the whole
+ * file untrusted.
  *
  * Writes are atomic: the bytes go to an O_EXCL temp file next to the
  * target ("<path>.tmp.<pid>.<seq>"), which is fsync'd and rename(2)'d
@@ -64,8 +53,22 @@ struct EnvelopeFormat
     uint32_t schema;
 };
 
-/** Size of the fixed header in front of the key. */
-constexpr size_t kEnvelopeHeaderSize = 40;
+/** The fixed header in front of the key. */
+#pragma pack(push, 1)
+struct EnvelopeHeader
+{
+    char magic[4];         ///< Family: "HRS\n" store, "HCP\n" checkpoint.
+    uint32_t schema;       ///< Family layout version.
+    uint32_t traceVersion; ///< Trace-format fence.
+    uint32_t keyLen;       ///< Key bytes after the header.
+    uint64_t payloadLen;   ///< Payload bytes after the key.
+    uint64_t keyFnv;       ///< fnv1a(key).
+    uint64_t payloadFnv;   ///< fnv1a(payload).
+};
+#pragma pack(pop)
+
+static_assert(sizeof(EnvelopeHeader) == 40,
+              "the envelope header is part of the on-disk format");
 
 /** A verified envelope's contents. */
 struct Envelope

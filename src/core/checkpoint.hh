@@ -8,21 +8,15 @@
  * produce at that quiesce point. The cycle is inside the payload
  * checksum, so a damaged cycle is caught like any other damage.
  *
- * Durability and trust model are the result store's:
+ * Durability and trust model are the result store's: writes are
+ * atomic, and a file failing any envelope check is *quarantined*
+ * (renamed to "<file>.quarantined") before a single payload byte is
+ * interpreted, and never restored from. On top of that:
  *
- *  - Atomic writes: the new checkpoint is written to a unique O_EXCL
- *    temp file, fsync'd, and rename(2)'d into place (directory
- *    fsync'd). A SIGKILL mid-write leaves the previous checkpoint
- *    intact; leftover temps are never read (and `store gc` prunes
- *    them).
  *  - Rotation: before the rename, the current checkpoint (if any) is
  *    rotated to "<path>.prev". A reader that finds the primary file
  *    corrupt falls back to the rotated one, so a torn rotation or a
  *    bit-flipped primary costs one checkpoint interval, not the run.
- *  - Verify-on-read: magic, schema, trace version, sizes, and both
- *    checksums are validated before a single payload byte is
- *    interpreted. A file failing any check is *quarantined* (renamed
- *    to "<file>.quarantined") and never restored from.
  *  - Identity fencing: the stored key names the exact run (config,
  *    workload, seed, scale, flags). A healthy checkpoint for a
  *    different run is refused — reported as NotFound so the caller
@@ -69,11 +63,8 @@ struct LoadedCheckpoint
     std::string path;    ///< File it was loaded from (primary/.prev).
 };
 
-/**
- * Durably write a checkpoint: rotate the current file to .prev, then
- * atomically install the new bytes (O_EXCL temp + fsync + rename +
- * directory fsync).
- */
+/** Durably write a checkpoint, rotating the current file to .prev
+ *  just before the new one is installed. */
 Status saveCheckpoint(const std::string &path, const std::string &key,
                       uint64_t cycle, const std::string &payload,
                       uint32_t trace_version =

@@ -652,35 +652,23 @@ evaluateCells(const std::vector<PreparedCell<Bundle>> &cells,
             p.hash = cell.hash;
             p.areaMm2 = cell.areaMm2;
             p.cores = cell.cores;
-            bool from_store = false;
-            if (store != nullptr) {
-                const Result<std::string> hit = store->get(cell.key);
-                DseCellPayload payload;
-                if (hit.ok() &&
-                    hit.value().size() == sizeof(payload)) {
-                    std::memcpy(&payload, hit.value().data(),
-                                sizeof(payload));
-                    p.seconds = payload.seconds;
-                    p.energyJ = payload.energyJ;
-                    from_store = true;
-                }
-            }
-            if (!from_store) {
+            DseCellPayload m;
+            const std::string hit =
+                store != nullptr ? store->get(cell.key).valueOr("") : "";
+            if (hit.size() == sizeof(m)) {
+                std::memcpy(&m, hit.data(), sizeof(m));
+            } else {
                 simulate(cell, &p);
-                if (store != nullptr) {
-                    DseCellPayload payload;
-                    payload.seconds = p.seconds;
-                    payload.energyJ = p.energyJ;
-                    const Status s = store->put(
-                        cell.key,
-                        std::string(reinterpret_cast<const char *>(
-                                        &payload),
-                                    sizeof(payload)));
-                    if (!s.ok())
+                m = {p.seconds, p.energyJ};
+                const std::string bytes(reinterpret_cast<char *>(&m),
+                                        sizeof(m));
+                if (store != nullptr)
+                    if (Status s = store->put(cell.key, bytes); !s.ok())
                         warn("dse store write failed: %s",
                              s.toString().c_str());
-                }
             }
+            p.seconds = m.seconds;
+            p.energyJ = m.energyJ;
             cache.insert(cell.key, p);
         }
         results[i] = p;

@@ -11,20 +11,12 @@
  * an opaque payload in a checksummed envelope (common/envelope.hh).
  *
  * Trust model — the store must be *safe to believe* after crashes,
- * kills, and bit-rot:
- *
- *  - Atomic writes: entries are written to a unique temp file,
- *    fsync'd, then rename(2)'d into place (and the directory fsync'd),
- *    so a SIGKILL mid-put leaves either the old entry or the new one,
- *    never a torn file. Leftover temp files are ignored by readers.
- *  - Verify-on-read: every get() re-validates magic, store schema
- *    version, trace-format version, key identity, and the payload's
- *    FNV-1a checksum. An entry failing any check is *quarantined* —
- *    renamed to "<entry>.quarantined", never served — and reported as
- *    a miss so the caller transparently recomputes.
- *  - Version fencing: entries written by an older store schema or an
- *    older trace format are never served (quarantined on sight), so a
- *    format bump cannot resurrect stale bytes as fresh results.
+ * kills, and bit-rot. put() is the envelope's atomic write, so a
+ * SIGKILL mid-put leaves the old entry or the new one, never a torn
+ * file. Every get() re-verifies the whole envelope; an entry failing
+ * any check, including one from an older store schema or trace
+ * format, is *quarantined* — renamed to "<entry>.quarantined", never
+ * served — and reported as a miss so the caller recomputes.
  *
  * Counters (hits / misses / quarantined / puts) feed the sweep
  * summary and the batch server's RunReport. All operations are
@@ -100,7 +92,6 @@ class ResultStore
 
     Counters counters() const;
     const std::string &dir() const { return dir_; }
-    uint32_t traceVersion() const { return traceVersion_; }
 
   private:
     struct Stats

@@ -441,6 +441,35 @@ sleepBackoff(double first_ms, uint32_t attempt, uint64_t seed)
     ::nanosleep(&ts, nullptr);
 }
 
+/** Resume: the cell's journaled result, when the store holds a
+ *  decodable one. */
+bool
+replayCell(const std::string &key, const SweepOptions &opts,
+           CellResult *res)
+{
+    if (opts.store == nullptr || !opts.resume)
+        return false;
+    const Result<std::string> hit = opts.store->get(key);
+    if (!hit.ok() || !decodeCellPayload(hit.value(), res))
+        return false;
+    res->fromStore = true;
+    return true;
+}
+
+/** Journal a freshly executed result. Only deterministic terminal
+ *  outcomes are written: a replayed crash or wall-clock kill would
+ *  freeze a nondeterministic failure into every future resume. */
+void
+journalCell(const std::string &key, const CellResult &res,
+            const SweepOptions &opts)
+{
+    if (opts.store == nullptr || res.transient || res.fromStore)
+        return;
+    const Status put = opts.store->put(key, encodeCellPayload(res));
+    if (!put.ok())
+        warn("sweep journal write failed: %s", put.toString().c_str());
+}
+
 /**
  * One cell, end to end: journal replay (resume), execution with the
  * chosen isolation, the inline soft wall-clock deadline, bounded
@@ -450,17 +479,10 @@ CellResult
 executeCell(const SweepCell &cell, const SweepOptions &opts)
 {
     const std::string key = cellStoreKey(cell, opts);
-
-    if (opts.store != nullptr && opts.resume) {
-        const Result<std::string> hit = opts.store->get(key);
-        CellResult replay;
-        if (hit.ok() && decodeCellPayload(hit.value(), &replay)) {
-            replay.fromStore = true;
-            return replay;
-        }
-    }
-
     CellResult res;
+    if (replayCell(key, opts, &res))
+        return res;
+
     for (uint32_t attempt = 0;; ++attempt) {
         if (opts.isolate) {
             res = runCellIsolated(cell, opts);
@@ -495,16 +517,7 @@ executeCell(const SweepCell &cell, const SweepOptions &opts)
         sleepBackoff(opts.retryBackoffMs, attempt + 1, fnv1a(key));
     }
 
-    // Journal only deterministic terminal outcomes: a replayed crash
-    // or wall-clock kill would freeze a nondeterministic failure into
-    // every future resume.
-    if (opts.store != nullptr && !res.transient) {
-        const Status put =
-            opts.store->put(key, encodeCellPayload(res));
-        if (!put.ok())
-            warn("sweep journal write failed: %s",
-                 put.toString().c_str());
-    }
+    journalCell(key, res, opts);
     return res;
 }
 
@@ -575,13 +588,7 @@ runSweepParallel(const std::vector<SweepCell> &cells,
             return;
         }
         r.wallMs = now - t.startMs;
-        if (opts.store != nullptr && !r.transient && !r.fromStore) {
-            const Status put =
-                opts.store->put(keys[i], encodeCellPayload(r));
-            if (!put.ok())
-                warn("sweep journal write failed: %s",
-                     put.toString().c_str());
-        }
+        journalCell(keys[i], r, opts);
         if (opts.verbose)
             inform("sweep [%zu/%zu] %s / %s: %s%s%s%s", i + 1,
                    cells.size(), cellConfigName(cells[i]).c_str(),
@@ -663,17 +670,11 @@ runSweepParallel(const std::vector<SweepCell> &cells,
                 continue;
             if (t.attempt == 0) {
                 t.startMs = now;
-                if (opts.store != nullptr && opts.resume) {
-                    const Result<std::string> hit =
-                        opts.store->get(keys[i]);
-                    CellResult replay;
-                    if (hit.ok() &&
-                        decodeCellPayload(hit.value(), &replay)) {
-                        replay.fromStore = true;
-                        ++t.attempt;
-                        settle(i, std::move(replay));
-                        continue;
-                    }
+                CellResult replay;
+                if (replayCell(keys[i], opts, &replay)) {
+                    ++t.attempt;
+                    settle(i, std::move(replay));
+                    continue;
                 }
             }
             int fds[2];
