@@ -122,6 +122,18 @@ build/examples/hetsim_cli sweep --configs all --workloads fft,lu \
       --scale 0.05 --store build/store_smoke --resume 1 \
       --report-json build/sweep_warm.json > /dev/null
 cmp build/sweep_cold.json build/sweep_warm.json
+# The DSE's durable tier: a warm exploration in a new process is
+# served entirely from the store (no misses, no writes) and reports
+# the same bytes as the cold one.
+rm -rf build/store_dse
+build/examples/hetsim_cli dse --space cpu --app fft --jobs 8 \
+      --scale 0.02 --store build/store_dse \
+      --report-json build/dse_store_cold.json > /dev/null
+build/examples/hetsim_cli dse --space cpu --app fft --jobs 8 \
+      --scale 0.02 --store build/store_dse \
+      --report-json build/dse_store_warm.json > build/dse_store_warm.txt
+cmp build/dse_store_cold.json build/dse_store_warm.json
+grep -q ' 0 misses, 0 writes' build/dse_store_warm.txt
 
 # Parallel sweep smoke: --jobs N keeps several forked cells in flight
 # but results land in plan order, so the report must be byte-identical

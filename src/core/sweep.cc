@@ -34,9 +34,9 @@ monotonicMs()
     return ts.tv_sec * 1e3 + ts.tv_nsec / 1e6;
 }
 
-/** Fixed-size prefix of the result a child sends up its pipe; also
- *  the layout of a journaled cell payload in the ResultStore (the
- *  store's own header supplies versioning and checksums). */
+/** Fixed-size prefix of a cell payload: the result a child sends up
+ *  its pipe and the journaled entry in the ResultStore (the store's
+ *  envelope supplies versioning and checksums). */
 #pragma pack(push, 1)
 struct WireResult
 {
@@ -50,7 +50,7 @@ struct WireResult
 };
 #pragma pack(pop)
 
-/** Journal payload: WireResult + the status message bytes. */
+/** Cell payload: WireResult + the status message bytes. */
 std::string
 encodeCellPayload(const CellResult &res)
 {
@@ -69,8 +69,9 @@ encodeCellPayload(const CellResult &res)
     return payload;
 }
 
-/** Inverse of encodeCellPayload; false on a malformed payload (the
- *  caller then re-executes — a journal can only ever cost a rerun). */
+/** Inverse of encodeCellPayload; false on a malformed payload (a
+ *  journal entry is then re-executed, a pipe message counts as a
+ *  crash). */
 bool
 decodeCellPayload(const std::string &payload, CellResult *res)
 {
@@ -92,9 +93,9 @@ decodeCellPayload(const std::string &payload, CellResult *res)
     res->ops = wire.ops;
     res->seconds = wire.seconds;
     res->energyJ = wire.energyJ;
-    // Defensive: preempted results are never journaled, but an
-    // entry claiming preemption must keep its never-journal / never-
-    // retry semantics if one ever appears.
+    // A preempted child saved a checkpoint and stopped: keep the
+    // never-journal / never-retry semantics across the pipe (and for
+    // a journal entry claiming preemption, should one ever appear).
     if (code == ErrorCode::Preempted) {
         res->transient = true;
         res->preempted = true;
