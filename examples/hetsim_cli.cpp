@@ -240,24 +240,6 @@ gpuConfigByName(const std::string &name)
     return r.value();
 }
 
-std::vector<std::string>
-splitCsvList(const std::string &list)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= list.size()) {
-        const size_t comma = list.find(',', start);
-        const size_t end =
-            comma == std::string::npos ? list.size() : comma;
-        if (end > start)
-            out.push_back(list.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
 /** Preemption flag shared by the SIGTERM handler and checkpointed
  *  commands; forked sweep children inherit the handler, so a signal
  *  to the process group preempts the in-flight cell too. */
@@ -641,56 +623,42 @@ cmdReplay(const Args &args)
 int
 cmdSweep(const Args &args)
 {
-    // Configurations: every CPU config by default.
-    std::vector<core::CpuConfig> cfgs;
-    const std::string cfg_list = args.get("configs", "all");
-    if (cfg_list == "all") {
-        for (int i = 0; i < core::kNumCpuConfigs; ++i)
-            cfgs.push_back(static_cast<core::CpuConfig>(i));
-    } else {
-        for (const std::string &name : splitCsvList(cfg_list))
-            cfgs.push_back(cpuConfigByName(name));
-    }
-
-    // Workload specs crossed with the CPU configs.
-    std::vector<std::string> specs =
-        splitCsvList(args.get("workloads", ""));
+    // Workload specs crossed with the CPU configs (every one by
+    // default).
+    Result<std::vector<core::CpuConfig>> cfgs =
+        core::cpuConfigsFromList(args.get("configs", "all"));
+    if (!cfgs.ok())
+        dieOn(cfgs.status());
     std::vector<core::SweepCell> cells;
+    const auto specs = core::splitCsvList(args.get("workloads", ""));
     if (!specs.empty()) {
-        auto crossed = core::crossCpuCells(cfgs, specs);
+        auto crossed = core::crossCpuCells(cfgs.value(), specs);
         if (!crossed.ok())
             dieOn(crossed.status());
         cells = std::move(crossed.value());
     }
 
-    // GPU cells: every named GPU config x every kernel spec.
-    const auto gpu_cfg_list =
-        splitCsvList(args.get("gpu-configs", ""));
-    const auto kernel_list = splitCsvList(args.get("kernels", ""));
-    for (const std::string &name : gpu_cfg_list) {
-        const core::GpuConfig gcfg = gpuConfigByName(name);
-        for (const std::string &k : kernel_list)
-            cells.push_back(core::gpuKernelCell(gcfg, k));
-    }
-
-    // Individually added cells: "Config/spec" entries.
+    // GPU cells (every named GPU config x every kernel) and
+    // individually added "Config/spec" cells.
+    const auto addCell = [&cells](const std::string &cfg,
+                                  const std::string &spec) {
+        Result<core::SweepCell> cell = core::parseCellEntry(cfg, spec);
+        if (!cell.ok())
+            dieOn(cell.status());
+        cells.push_back(std::move(cell.value()));
+    };
+    for (const std::string &cfg :
+         core::splitCsvList(args.get("gpu-configs", "")))
+        for (const std::string &k :
+             core::splitCsvList(args.get("kernels", "")))
+            addCell(cfg, "kernel:" + k);
     for (const std::string &entry :
-         splitCsvList(args.get("cells", ""))) {
+         core::splitCsvList(args.get("cells", ""))) {
         const size_t slash = entry.find('/');
         if (slash == std::string::npos)
             die("bad --cells entry '%s' (expected Config/workload)",
                 entry.c_str());
-        auto cell =
-            core::parseWorkloadSpec(entry.substr(slash + 1));
-        if (!cell.ok())
-            dieOn(cell.status());
-        if (cell.value().kind == core::SweepCell::Kind::GpuKernel)
-            cell.value().gpuCfg =
-                gpuConfigByName(entry.substr(0, slash));
-        else
-            cell.value().cpuCfg =
-                cpuConfigByName(entry.substr(0, slash));
-        cells.push_back(std::move(cell.value()));
+        addCell(entry.substr(0, slash), entry.substr(slash + 1));
     }
 
     if (cells.empty())

@@ -145,6 +145,12 @@ build/examples/hetsim_cli sweep --configs all \
       --workloads lock_heavy,fft --scale 0.05 --jobs 4 \
       --report-json build/sweep_jobs4.json > /dev/null
 cmp build/sweep_jobs1.json build/sweep_jobs4.json
+# Inline cells (no fork) go through the same scheduler and must
+# report the same bytes as the forked ones.
+build/examples/hetsim_cli sweep --configs all \
+      --workloads lock_heavy,fft --scale 0.05 --no-isolate 1 \
+      --report-json build/sweep_inline.json > /dev/null
+cmp build/sweep_inline.json build/sweep_jobs1.json
 
 # Kill/resume round trip: SIGKILL a journaling sweep mid-flight, then
 # resume it; the resumed report must match an uninterrupted run byte

@@ -350,30 +350,4 @@ runGpuBundle(const GpuConfigBundle &bundle_in,
     return out;
 }
 
-std::vector<CpuOutcome>
-runCpuSuite(const std::vector<CpuConfig> &cfgs,
-            const std::vector<workload::AppProfile> &apps,
-            const ExperimentOptions &opts)
-{
-    std::vector<CpuOutcome> out;
-    out.reserve(cfgs.size() * apps.size());
-    for (CpuConfig cfg : cfgs)
-        for (const workload::AppProfile &app : apps)
-            out.push_back(runCpuExperiment(cfg, app, opts));
-    return out;
-}
-
-std::vector<GpuOutcome>
-runGpuSuite(const std::vector<GpuConfig> &cfgs,
-            const std::vector<workload::KernelProfile> &kernels,
-            const ExperimentOptions &opts)
-{
-    std::vector<GpuOutcome> out;
-    out.reserve(cfgs.size() * kernels.size());
-    for (GpuConfig cfg : cfgs)
-        for (const workload::KernelProfile &k : kernels)
-            out.push_back(runGpuExperiment(cfg, k, opts));
-    return out;
-}
-
 } // namespace hetsim::core

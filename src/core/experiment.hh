@@ -138,20 +138,6 @@ GpuOutcome runGpuBundle(const GpuConfigBundle &bundle,
                         obs::RunReport *report = nullptr,
                         obs::TraceBuffer *trace = nullptr);
 
-/**
- * Run a config x app matrix. Results are indexed
- * [config_index * num_apps + app_index].
- */
-std::vector<CpuOutcome>
-runCpuSuite(const std::vector<CpuConfig> &cfgs,
-            const std::vector<workload::AppProfile> &apps,
-            const ExperimentOptions &opts = {});
-
-std::vector<GpuOutcome>
-runGpuSuite(const std::vector<GpuConfig> &cfgs,
-            const std::vector<workload::KernelProfile> &kernels,
-            const ExperimentOptions &opts = {});
-
 } // namespace hetsim::core
 
 #endif // HETSIM_CORE_EXPERIMENT_HH

@@ -14,7 +14,6 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "core/configs.hh"
 #include "core/dse.hh"
 #include "core/sweep.hh"
 #include "workload/cpu_profiles.hh"
@@ -26,14 +25,6 @@ namespace hetsim::core
 namespace
 {
 
-double
-monotonicMs()
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return ts.tv_sec * 1e3 + ts.tv_nsec / 1e6;
-}
-
 Status
 setNonBlocking(int fd, const std::string &what)
 {
@@ -42,23 +33,6 @@ setNonBlocking(int fd, const std::string &what)
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0)
         return ioError("fcntl O_NONBLOCK failed", what);
     return Status();
-}
-
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= csv.size()) {
-        size_t comma = csv.find(',', start);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        std::string item = csv.substr(start, comma - start);
-        if (!item.empty())
-            out.push_back(std::move(item));
-        start = comma + 1;
-    }
-    return out;
 }
 
 /** Frame one document: u32 little-endian length + bytes. */
@@ -530,10 +504,8 @@ BatchServer::executeJob(const ServerJob &job)
         return okDoc(job.id, cmd, "");
     if (cmd == "stats")
         return okDoc(job.id, cmd, "\"stats\":" + statsJson());
-    if (cmd == "run" || cmd == "gpu")
-        return runCellJob(job, cmd == "gpu");
-    if (cmd == "sweep")
-        return sweepJob(job);
+    if (cmd == "run" || cmd == "gpu" || cmd == "sweep")
+        return cellJob(job, cmd);
     if (cmd == "dse")
         return dseJob(job);
     counters_.jobsRejected++;
@@ -575,81 +547,46 @@ BatchServer::accountSweep(const SweepReport &report)
     counters_.retries += report.totalRetries();
 }
 
-std::string
-BatchServer::runCellJob(const ServerJob &job, bool gpu)
+/** The cells a run/gpu/sweep request names: one cell for run and
+ *  gpu, configs x workloads for sweep. */
+static Result<std::vector<SweepCell>>
+requestCells(const std::string &cmd, const JsonObject &req)
 {
-    const JsonObject &req = job.request;
+    if (cmd == "sweep") {
+        const std::string workloads = req.getString("workloads");
+        if (workloads.empty())
+            return Status::error(
+                ErrorCode::InvalidArgument,
+                "sweep job needs a \"workloads\" CSV field");
+        Result<std::vector<CpuConfig>> cfgs =
+            cpuConfigsFromList(req.getString("configs", "all"));
+        if (!cfgs.ok())
+            return cfgs.status();
+        return crossCpuCells(cfgs.value(), splitCsvList(workloads));
+    }
     const std::string workload = req.getString("workload");
     if (workload.empty())
-        return errorDoc(job.id, ErrorCode::InvalidArgument,
-                        "run/gpu job needs a \"workload\" field");
-
-    SweepCell cell;
-    if (gpu) {
-        Result<GpuConfig> cfg =
-            gpuConfigFromName(req.getString("config", "BaseCMOS"));
-        if (!cfg.ok())
-            return errorDoc(job.id, cfg.status());
-        cell = gpuKernelCell(cfg.value(), workload);
-    } else {
-        Result<SweepCell> spec = parseWorkloadSpec(workload);
-        if (!spec.ok())
-            return errorDoc(job.id, spec.status());
-        cell = spec.value();
-        if (cell.kind == SweepCell::Kind::GpuKernel) {
-            Result<GpuConfig> cfg = gpuConfigFromName(
-                req.getString("config", "BaseCMOS"));
-            if (!cfg.ok())
-                return errorDoc(job.id, cfg.status());
-            cell.gpuCfg = cfg.value();
-        } else {
-            Result<CpuConfig> cfg = cpuConfigFromName(
-                req.getString("config", "BaseCMOS"));
-            if (!cfg.ok())
-                return errorDoc(job.id, cfg.status());
-            cell.cpuCfg = cfg.value();
-        }
-    }
-
-    const SweepReport report =
-        runSweep({cell}, sweepOptionsFor(req));
-    accountSweep(report);
-    return okDoc(job.id, gpu ? "gpu" : "run",
-                 "\"report\":" +
-                     trimNewline(sweepReportToJson(report)));
+        return Status::error(ErrorCode::InvalidArgument,
+                             "run/gpu job needs a \"workload\" field");
+    Result<SweepCell> cell =
+        parseCellEntry(req.getString("config", "BaseCMOS"),
+                       cmd == "gpu" ? "kernel:" + workload : workload);
+    if (!cell.ok())
+        return cell.status();
+    return std::vector<SweepCell>{cell.value()};
 }
 
 std::string
-BatchServer::sweepJob(const ServerJob &job)
+BatchServer::cellJob(const ServerJob &job, const std::string &cmd)
 {
-    const JsonObject &req = job.request;
-    const std::string workloads_csv = req.getString("workloads");
-    if (workloads_csv.empty())
-        return errorDoc(job.id, ErrorCode::InvalidArgument,
-                        "sweep job needs a \"workloads\" CSV field");
-
-    std::vector<CpuConfig> cfgs;
-    const std::string configs_csv = req.getString("configs", "all");
-    if (configs_csv == "all") {
-        cfgs = figure7Configs();
-    } else {
-        for (const std::string &name : splitCsv(configs_csv)) {
-            Result<CpuConfig> cfg = cpuConfigFromName(name);
-            if (!cfg.ok())
-                return errorDoc(job.id, cfg.status());
-            cfgs.push_back(cfg.value());
-        }
-    }
-
     Result<std::vector<SweepCell>> cells =
-        crossCpuCells(cfgs, splitCsv(workloads_csv));
+        requestCells(cmd, job.request);
     if (!cells.ok())
         return errorDoc(job.id, cells.status());
-
     const SweepReport report =
-        runSweep(cells.value(), sweepOptionsFor(req));
+        runSweep(cells.value(), sweepOptionsFor(job.request));
     accountSweep(report);
-    return okDoc(job.id, "sweep",
+    return okDoc(job.id, cmd,
                  "\"report\":" +
                      trimNewline(sweepReportToJson(report)));
 }
@@ -718,29 +655,14 @@ BatchServer::dseJob(const ServerJob &job)
 std::string
 BatchServer::statsJson() const
 {
-    ResultStore::Counters sc;
-    if (store_)
-        sc = store_->counters();
+    const obs::RunReport report = buildReport();
     std::string out = "{";
-    out += "\"jobs_accepted\":" +
-           std::to_string(counters_.jobsAccepted);
-    out += ",\"jobs_completed\":" +
-           std::to_string(counters_.jobsCompleted);
-    out += ",\"jobs_rejected\":" +
-           std::to_string(counters_.jobsRejected);
-    out += ",\"cells_ok\":" + std::to_string(counters_.cellsOk);
-    out += ",\"cells_failed\":" +
-           std::to_string(counters_.cellsFailed);
-    out += ",\"cells_timed_out\":" +
-           std::to_string(counters_.cellsTimedOut);
-    out += ",\"retries\":" + std::to_string(counters_.retries);
-    out += ",\"store_hits\":" + std::to_string(sc.hits);
-    out += ",\"store_misses\":" + std::to_string(sc.misses);
-    out += ",\"store_quarantined\":" +
-           std::to_string(sc.quarantined);
-    out += ",\"store_puts\":" + std::to_string(sc.puts);
-    out += "}";
-    return out;
+    for (const auto &[name, value] : report.groups.front().counters) {
+        if (out.size() > 1)
+            out += ',';
+        out += '"' + name + "\":" + std::to_string(value);
+    }
+    return out + "}";
 }
 
 obs::RunReport

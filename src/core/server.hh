@@ -194,8 +194,9 @@ class BatchServer
     std::string executeJob(const ServerJob &job);
     struct SweepOptions sweepOptionsFor(const JsonObject &req);
     void accountSweep(const struct SweepReport &report);
-    std::string runCellJob(const ServerJob &job, bool gpu);
-    std::string sweepJob(const ServerJob &job);
+    /** run, gpu and sweep: build the cells, run them, respond with
+     *  the sweep report. */
+    std::string cellJob(const ServerJob &job, const std::string &cmd);
     std::string dseJob(const ServerJob &job);
     std::string statsJson() const;
     void respond(FdHandle conn, const std::string &doc);

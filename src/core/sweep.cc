@@ -26,14 +26,6 @@ namespace hetsim::core
 namespace
 {
 
-double
-monotonicMs()
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return ts.tv_sec * 1e3 + ts.tv_nsec / 1e6;
-}
-
 /** Fixed-size prefix of a cell payload: the result a child sends up
  *  its pipe and the journaled entry in the ResultStore (the store's
  *  envelope supplies versioning and checksums). */
@@ -317,89 +309,29 @@ wallClockTimeout(const SweepOptions &opts)
     return res;
 }
 
-/** Parent side: fork, read the pipe under the wall-clock watchdog. */
+/** Run a cell in this process: every cell of an inline sweep, and an
+ *  isolated cell whose fork failed. Without a child process the cell
+ *  cannot be killed, so the wall-clock limit is a *soft* deadline:
+ *  an overrun is reported loudly instead of silently dropping the
+ *  guarantee. */
 CellResult
-runCellIsolated(const SweepCell &cell, const SweepOptions &opts)
+runInline(const SweepCell &cell, const SweepOptions &opts)
 {
-    int fds[2];
-    if (::pipe(fds) != 0) {
-        CellResult res;
-        res.status = Status::error(ErrorCode::Internal,
-                                   "pipe() failed: %s",
-                                   std::strerror(errno));
-        return res;
+    const double start = monotonicMs();
+    CellResult res = runCellInProcess(cell, opts);
+    const double elapsed = monotonicMs() - start;
+    if (opts.wallLimitMs > 0.0 && elapsed > opts.wallLimitMs &&
+        res.outcome == CellOutcome::Ok) {
+        res.outcome = CellOutcome::TimedOut;
+        res.status = Status::error(
+            ErrorCode::Timeout,
+            "soft wall-clock deadline (%.0f ms) exceeded: inline "
+            "cell ran %.0f ms to completion (no preemption without "
+            "isolation)",
+            opts.wallLimitMs, elapsed);
+        res.transient = true;
     }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        warn("fork() failed (%s); running cell in-process",
-             std::strerror(errno));
-        return runCellInProcess(cell, opts);
-    }
-    if (pid == 0) {
-        ::close(fds[0]);
-        childRunCell(fds[1], cell, opts);
-    }
-    ::close(fds[1]);
-
-    const double deadline = opts.wallLimitMs > 0.0
-        ? monotonicMs() + opts.wallLimitMs : 0.0;
-    std::string buf;
-    bool timed_out = false;
-    bool eof = false;
-    bool preempt_sent = false;
-    while (true) {
-        // A preemption request (SIGTERM to the sweep) must reach the
-        // in-flight cell, which lives in its own process: forward it.
-        // The child inherited the caller's signal disposition, so its
-        // own handler sets its preempt flag and the cell stops at the
-        // next periodic drain with a resumable checkpoint. Only done
-        // when mid-run checkpoints are on — without them, preempting
-        // the cell would just discard its progress.
-        if (!preempt_sent && !opts.checkpointDir.empty() &&
-            opts.exp.preempt && *opts.exp.preempt) {
-            ::kill(pid, SIGTERM);
-            preempt_sent = true;
-        }
-        if (eof || cellPayloadComplete(buf))
-            break;
-        int wait_ms = -1;
-        if (deadline > 0.0) {
-            const double remaining = deadline - monotonicMs();
-            if (remaining <= 0.0) {
-                timed_out = true;
-                break;
-            }
-            wait_ms = static_cast<int>(remaining) + 1;
-        }
-        struct pollfd pfd{fds[0], POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, wait_ms);
-        if (ready < 0 && errno == EINTR)
-            continue;
-        if (ready == 0) {
-            timed_out = true;
-            break;
-        }
-        char chunk[4096];
-        const ssize_t r = ::read(fds[0], chunk, sizeof(chunk));
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            eof = true;
-        } else if (r == 0) {
-            eof = true;
-        } else {
-            buf.append(chunk, static_cast<size_t>(r));
-        }
-    }
-    ::close(fds[0]);
-
-    if (timed_out)
-        ::kill(pid, SIGKILL);
-    int wstatus = 0;
-    ::waitpid(pid, &wstatus, 0);
-    return timed_out ? wallClockTimeout(opts) : childResult(buf, wstatus);
+    return res;
 }
 
 /**
@@ -427,19 +359,6 @@ backoffMs(double first_ms, uint32_t attempt, uint64_t seed)
     if (ms > 5000.0)
         ms = 5000.0;
     return ms > 0.0 ? ms : 0.0;
-}
-
-void
-sleepBackoff(double first_ms, uint32_t attempt, uint64_t seed)
-{
-    const double ms = backoffMs(first_ms, attempt, seed);
-    if (ms <= 0.0)
-        return;
-    struct timespec ts;
-    ts.tv_sec = static_cast<time_t>(ms / 1e3);
-    ts.tv_nsec = static_cast<long>(
-        (ms - ts.tv_sec * 1e3) * 1e6);
-    ::nanosleep(&ts, nullptr);
 }
 
 /** Resume: the cell's journaled result, when the store holds a
@@ -471,328 +390,15 @@ journalCell(const std::string &key, const CellResult &res,
         warn("sweep journal write failed: %s", put.toString().c_str());
 }
 
-/**
- * One cell, end to end: journal replay (resume), execution with the
- * chosen isolation, the inline soft wall-clock deadline, bounded
- * retry of transient failures, and the durable journal write.
- */
-CellResult
-executeCell(const SweepCell &cell, const SweepOptions &opts)
-{
-    const std::string key = cellStoreKey(cell, opts);
-    CellResult res;
-    if (replayCell(key, opts, &res))
-        return res;
-
-    for (uint32_t attempt = 0;; ++attempt) {
-        if (opts.isolate) {
-            res = runCellIsolated(cell, opts);
-        } else {
-            const double start = monotonicMs();
-            res = runCellInProcess(cell, opts);
-            const double elapsed = monotonicMs() - start;
-            // Soft wall-clock deadline: the cell cannot be preempted
-            // without a child process, but an overrun is reported
-            // loudly instead of silently dropping the guarantee.
-            if (opts.wallLimitMs > 0.0 &&
-                elapsed > opts.wallLimitMs &&
-                res.outcome == CellOutcome::Ok) {
-                res.outcome = CellOutcome::TimedOut;
-                res.status = Status::error(
-                    ErrorCode::Timeout,
-                    "soft wall-clock deadline (%.0f ms) exceeded: "
-                    "inline cell ran %.0f ms to completion "
-                    "(no preemption without isolation)",
-                    opts.wallLimitMs, elapsed);
-                res.transient = true;
-            }
-        }
-        res.retries = attempt;
-        // Preemption is deliberate, not a fault: never retried. A
-        // pending preemption also stops retries of ordinary transient
-        // failures — the sweep is shutting down, not healing.
-        if (res.preempted || !res.transient ||
-            attempt >= opts.maxRetries ||
-            (opts.exp.preempt && *opts.exp.preempt))
-            break;
-        sleepBackoff(opts.retryBackoffMs, attempt + 1, fnv1a(key));
-    }
-
-    journalCell(key, res, opts);
-    return res;
-}
-
-/**
- * Parallel scheduler: up to `jobs` forked cells in flight at once,
- * multiplexed over their result pipes from the calling thread —
- * children are only ever forked from this loop, never from worker
- * threads. Every cell runs exactly the computation the serial path
- * runs and results land in plan order, so a jobs=N report is
- * byte-identical to the jobs=1 report. A pending preemption stops
- * new launches, forwards SIGTERM to *every* in-flight child (each
- * drains to its own resumable checkpoint), and marks unlaunched
- * cells preempted-without-running, matching the serial semantics.
- */
-SweepReport
-runSweepParallel(const std::vector<SweepCell> &cells,
-                 const SweepOptions &opts, unsigned jobs)
-{
-    struct Task
-    {
-        enum class Phase
-        {
-            Pending, ///< Not launched (or relaunching after backoff).
-            Running, ///< Forked child in flight.
-            Backoff, ///< Transient failure; waiting out the delay.
-            Done,
-        };
-
-        Phase phase = Phase::Pending;
-        uint32_t attempt = 0; ///< Execution attempts started.
-        double readyAt = 0.0; ///< Backoff release (monotonic ms).
-        double startMs = 0.0; ///< First launch (for wallMs).
-        pid_t pid = -1;
-        int fd = -1;
-        std::string buf;
-        double deadline = 0.0; ///< Wall-clock kill time (0 = none).
-        bool preemptSent = false;
-        CellResult res;
-    };
-    using Phase = Task::Phase;
-
-    std::vector<Task> tasks(cells.size());
-    std::vector<std::string> keys;
-    keys.reserve(cells.size());
-    for (const SweepCell &cell : cells)
-        keys.push_back(cellStoreKey(cell, opts));
-
-    size_t done = 0;
-    size_t running = 0;
-
-    const auto preemptPending = [&opts] {
-        return opts.exp.preempt && *opts.exp.preempt;
-    };
-
-    // One execution attempt of cell i finished with result r: either
-    // retire the task or park it for a retry. Mirrors the serial
-    // executeCell retry/journal policy exactly.
-    const auto settle = [&](size_t i, CellResult r) {
-        Task &t = tasks[i];
-        const double now = monotonicMs();
-        r.retries = t.attempt - 1;
-        if (!r.preempted && r.transient &&
-            t.attempt - 1 < opts.maxRetries && !preemptPending()) {
-            t.res = std::move(r);
-            t.phase = Phase::Backoff;
-            t.readyAt = now + backoffMs(opts.retryBackoffMs, t.attempt,
-                                        fnv1a(keys[i]));
-            return;
-        }
-        r.wallMs = now - t.startMs;
-        journalCell(keys[i], r, opts);
-        if (opts.verbose)
-            inform("sweep [%zu/%zu] %s / %s: %s%s%s%s", i + 1,
-                   cells.size(), cellConfigName(cells[i]).c_str(),
-                   cellWorkloadName(cells[i]).c_str(),
-                   cellOutcomeName(r.outcome),
-                   r.fromStore ? " (replayed)" : "",
-                   r.status.ok() ? "" : " - ",
-                   r.status.ok() ? ""
-                                 : r.status.toString().c_str());
-        t.res = std::move(r);
-        t.phase = Phase::Done;
-        ++done;
-    };
-
-    // The child delivered (full payload / EOF) or overran its
-    // wall-clock deadline: reap it and settle the attempt.
-    const auto finishRunning = [&](size_t i, bool timed_out) {
-        Task &t = tasks[i];
-        ::close(t.fd);
-        t.fd = -1;
-        --running;
-        t.phase = Phase::Pending; // settle() decides Done/Backoff.
-        if (timed_out)
-            ::kill(t.pid, SIGKILL);
-        int wstatus = 0;
-        ::waitpid(t.pid, &wstatus, 0);
-        t.pid = -1;
-        CellResult r = timed_out ? wallClockTimeout(opts)
-                                 : childResult(t.buf, wstatus);
-        t.buf.clear();
-        settle(i, std::move(r));
-    };
-
-    while (done < tasks.size()) {
-        double now = monotonicMs();
-
-        // Preemption: stop launching, tell every in-flight child to
-        // drain to its checkpoint, retire everything not yet started.
-        if (preemptPending()) {
-            for (size_t i = 0; i < tasks.size(); ++i) {
-                Task &t = tasks[i];
-                if (t.phase == Phase::Pending) {
-                    if (t.attempt == 0)
-                        markPreempted(&t.res, "sweep preempted "
-                                              "before this cell ran");
-                    // else keep the last transient failure, as the
-                    // serial retry loop does when a preemption stops
-                    // it mid-backoff.
-                    t.res.retries =
-                        t.attempt > 0 ? t.attempt - 1 : 0;
-                    t.phase = Phase::Done;
-                    ++done;
-                } else if (t.phase == Phase::Backoff) {
-                    t.phase = Phase::Done;
-                    ++done;
-                } else if (t.phase == Phase::Running &&
-                           !t.preemptSent &&
-                           !opts.checkpointDir.empty()) {
-                    // Same forwarding rule as the serial path: only
-                    // with mid-run checkpoints on does a SIGTERM
-                    // preserve (rather than discard) progress.
-                    ::kill(t.pid, SIGTERM);
-                    t.preemptSent = true;
-                }
-            }
-        }
-
-        // Release elapsed backoffs back into the launch queue.
-        for (Task &t : tasks)
-            if (t.phase == Phase::Backoff && t.readyAt <= now)
-                t.phase = Phase::Pending;
-
-        // Launch pending cells, plan order first, up to the cap.
-        for (size_t i = 0;
-             i < tasks.size() && running < jobs && !preemptPending();
-             ++i) {
-            Task &t = tasks[i];
-            if (t.phase != Phase::Pending)
-                continue;
-            if (t.attempt == 0) {
-                t.startMs = now;
-                CellResult replay;
-                if (replayCell(keys[i], opts, &replay)) {
-                    ++t.attempt;
-                    settle(i, std::move(replay));
-                    continue;
-                }
-            }
-            int fds[2];
-            pid_t pid = -1;
-            if (::pipe(fds) == 0)
-                pid = ::fork();
-            else
-                fds[0] = fds[1] = -1;
-            ++t.attempt;
-            if (pid < 0) {
-                if (fds[0] >= 0) {
-                    ::close(fds[0]);
-                    ::close(fds[1]);
-                }
-                warn("fork() failed (%s); running cell in-process",
-                     std::strerror(errno));
-                settle(i, runCellInProcess(cells[i], opts));
-                continue;
-            }
-            if (pid == 0) {
-                ::close(fds[0]);
-                childRunCell(fds[1], cells[i], opts);
-            }
-            ::close(fds[1]);
-            t.pid = pid;
-            t.fd = fds[0];
-            t.buf.clear();
-            t.preemptSent = false;
-            t.deadline = opts.wallLimitMs > 0.0
-                ? now + opts.wallLimitMs : 0.0;
-            t.phase = Phase::Running;
-            ++running;
-        }
-
-        if (done >= tasks.size())
-            break;
-
-        // Wait for the earliest of: child output, a wall-clock
-        // deadline, or a backoff release. A SIGTERM to the sweep
-        // interrupts the poll (EINTR), so preemption is noticed
-        // immediately.
-        now = monotonicMs();
-        double wake = 0.0; // 0 = wait for output only.
-        std::vector<struct pollfd> pfds;
-        std::vector<size_t> pfd_task;
-        for (size_t i = 0; i < tasks.size(); ++i) {
-            const Task &t = tasks[i];
-            if (t.phase == Phase::Running) {
-                pfds.push_back({t.fd, POLLIN, 0});
-                pfd_task.push_back(i);
-                if (t.deadline > 0.0 &&
-                    (wake == 0.0 || t.deadline < wake))
-                    wake = t.deadline;
-            } else if (t.phase == Phase::Backoff &&
-                       (wake == 0.0 || t.readyAt < wake)) {
-                wake = t.readyAt;
-            }
-        }
-        int wait_ms = -1;
-        if (wake > 0.0)
-            wait_ms = std::max(0, static_cast<int>(wake - now)) + 1;
-        // With a preempt flag registered, bound the wait: a flag set
-        // without a signal delivery to this thread (e.g. from another
-        // thread, or a signal handled elsewhere in the process) must
-        // still be noticed promptly.
-        if (opts.exp.preempt && (wait_ms < 0 || wait_ms > 100))
-            wait_ms = 100;
-        int ready = 0;
-        if (!pfds.empty())
-            ready = ::poll(pfds.data(),
-                           static_cast<nfds_t>(pfds.size()),
-                           wait_ms);
-        else if (wait_ms > 0)
-            ready = ::poll(nullptr, 0, wait_ms);
-        if (ready < 0 && errno != EINTR)
-            warn("sweep: poll() failed: %s", std::strerror(errno));
-
-        now = monotonicMs();
-        for (size_t k = 0; k < pfds.size(); ++k) {
-            const size_t i = pfd_task[k];
-            Task &t = tasks[i];
-            if (t.phase != Phase::Running)
-                continue;
-            if (pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) {
-                char chunk[4096];
-                const ssize_t r =
-                    ::read(t.fd, chunk, sizeof(chunk));
-                if (r > 0)
-                    t.buf.append(chunk, static_cast<size_t>(r));
-                const bool eof = r == 0 ||
-                    (r < 0 && errno != EINTR && errno != EAGAIN);
-                if (eof || cellPayloadComplete(t.buf)) {
-                    finishRunning(i, false);
-                    continue;
-                }
-            }
-            if (t.deadline > 0.0 && now >= t.deadline)
-                finishRunning(i, true);
-        }
-        // Deadlines fire even for children producing no output.
-        for (size_t i = 0; i < tasks.size(); ++i) {
-            Task &t = tasks[i];
-            if (t.phase == Phase::Running && t.deadline > 0.0 &&
-                now >= t.deadline)
-                finishRunning(i, true);
-        }
-    }
-
-    SweepReport report;
-    report.cells = cells;
-    report.results.reserve(cells.size());
-    for (Task &t : tasks)
-        report.results.push_back(std::move(t.res));
-    return report;
-}
-
 } // namespace
+
+double
+monotonicMs()
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return ts.tv_sec * 1e3 + ts.tv_nsec / 1e6;
+}
 
 const char *
 cellOutcomeName(CellOutcome outcome)
@@ -916,6 +522,66 @@ crossCpuCells(const std::vector<CpuConfig> &cfgs,
     return cells;
 }
 
+std::vector<std::string>
+splitCsvList(const std::string &list)
+{
+    std::vector<std::string> out;
+    size_t start = 0;
+    while (start <= list.size()) {
+        const size_t comma = list.find(',', start);
+        const size_t end =
+            comma == std::string::npos ? list.size() : comma;
+        if (end > start)
+            out.push_back(list.substr(start, end - start));
+        if (comma == std::string::npos)
+            break;
+        start = comma + 1;
+    }
+    return out;
+}
+
+Result<std::vector<CpuConfig>>
+cpuConfigsFromList(const std::string &list)
+{
+    std::vector<CpuConfig> cfgs;
+    if (list == "all") {
+        for (int i = 0; i < kNumCpuConfigs; ++i)
+            cfgs.push_back(static_cast<CpuConfig>(i));
+        return cfgs;
+    }
+    for (const std::string &name : splitCsvList(list)) {
+        Result<CpuConfig> cfg = cpuConfigFromName(name);
+        if (!cfg.ok())
+            return cfg.status();
+        cfgs.push_back(cfg.value());
+    }
+    if (cfgs.empty())
+        return Status::error(ErrorCode::InvalidArgument,
+                             "empty CPU configuration list '%s'",
+                             list.c_str());
+    return cfgs;
+}
+
+Result<SweepCell>
+parseCellEntry(const std::string &config, const std::string &spec)
+{
+    Result<SweepCell> cell = parseWorkloadSpec(spec);
+    if (!cell.ok())
+        return cell.status();
+    if (cell.value().kind == SweepCell::Kind::GpuKernel) {
+        Result<GpuConfig> cfg = gpuConfigFromName(config);
+        if (!cfg.ok())
+            return cfg.status();
+        cell.value().gpuCfg = cfg.value();
+    } else {
+        Result<CpuConfig> cfg = cpuConfigFromName(config);
+        if (!cfg.ok())
+            return cfg.status();
+        cell.value().cpuCfg = cfg.value();
+    }
+    return cell;
+}
+
 size_t
 SweepReport::count(CellOutcome outcome) const
 {
@@ -988,6 +654,19 @@ cellWorkloadName(const SweepCell &cell)
     }
 }
 
+/**
+ * The one scheduler. Up to `jobs` forked cells are in flight at once,
+ * multiplexed over their result pipes from the calling thread, so
+ * children are only ever forked from here, never from worker threads.
+ * An inline cell (isolate == false), and an isolated cell whose fork
+ * fails, runs to completion inside its launch step. Results land in
+ * plan order, so the report is byte-identical for any job count and
+ * either isolation mode. A transient failure parks its cell until the
+ * backoff elapses; the poll wait doubles as the sleep. A pending
+ * preemption stops new launches, forwards SIGTERM to *every*
+ * in-flight child (each drains to its own resumable checkpoint), and
+ * marks unlaunched cells preempted-without-running.
+ */
 SweepReport
 runSweep(const std::vector<SweepCell> &cells,
          const SweepOptions &opts)
@@ -999,44 +678,260 @@ runSweep(const std::vector<SweepCell> &cells,
     if (opts.resume && opts.store == nullptr)
         warn("sweep: resume requested without a result store; "
              "every cell will re-execute");
-    unsigned jobs = opts.jobs > 0 ? opts.jobs : 1;
-    if (jobs > 1 && !opts.isolate) {
+    if (opts.jobs > 1 && !opts.isolate)
         warn("sweep: --jobs > 1 needs process isolation (inline "
              "cells share one address space); running serially");
-        jobs = 1;
+    const unsigned jobs = std::max(opts.jobs, 1u);
+
+    struct Task
+    {
+        enum class Phase
+        {
+            Pending, ///< Not launched (or relaunching after backoff).
+            Running, ///< Forked child in flight.
+            Backoff, ///< Transient failure; waiting out the delay.
+            Done,
+        };
+
+        Phase phase = Phase::Pending;
+        uint32_t attempt = 0; ///< Execution attempts started.
+        double readyAt = 0.0; ///< Backoff release (monotonic ms).
+        double startMs = 0.0; ///< First launch (for wallMs).
+        pid_t pid = -1;
+        int fd = -1;
+        std::string buf;
+        double deadline = 0.0; ///< Wall-clock kill time (0 = none).
+        bool preemptSent = false;
+        CellResult res;
+    };
+    using Phase = Task::Phase;
+
+    std::vector<Task> tasks(cells.size());
+    std::vector<std::string> keys;
+    keys.reserve(cells.size());
+    for (const SweepCell &cell : cells)
+        keys.push_back(cellStoreKey(cell, opts));
+
+    size_t done = 0;
+    size_t running = 0;
+
+    const auto preemptPending = [&opts] {
+        return opts.exp.preempt && *opts.exp.preempt;
+    };
+
+    // One execution attempt of cell i finished with result r: either
+    // retire the task (journaling a deterministic outcome) or park it
+    // for a retry. Preemption is deliberate, not a fault: never
+    // retried. A pending preemption also stops retries of ordinary
+    // transient failures — the sweep is shutting down, not healing.
+    const auto settle = [&](size_t i, CellResult r) {
+        Task &t = tasks[i];
+        const double now = monotonicMs();
+        r.retries = t.attempt - 1;
+        if (!r.preempted && r.transient &&
+            t.attempt - 1 < opts.maxRetries && !preemptPending()) {
+            t.res = std::move(r);
+            t.phase = Phase::Backoff;
+            t.readyAt = now + backoffMs(opts.retryBackoffMs, t.attempt,
+                                        fnv1a(keys[i]));
+            return;
+        }
+        r.wallMs = now - t.startMs;
+        journalCell(keys[i], r, opts);
+        if (opts.verbose)
+            inform("sweep [%zu/%zu] %s / %s: %s%s%s%s", i + 1,
+                   cells.size(), cellConfigName(cells[i]).c_str(),
+                   cellWorkloadName(cells[i]).c_str(),
+                   cellOutcomeName(r.outcome),
+                   r.fromStore ? " (replayed)" : "",
+                   r.status.ok() ? "" : " - ",
+                   r.status.ok() ? ""
+                                 : r.status.toString().c_str());
+        t.res = std::move(r);
+        t.phase = Phase::Done;
+        ++done;
+    };
+
+    // Start one attempt of cell i: replay its journaled result, fork
+    // a child into the poll set, or run it inline to completion.
+    const auto launch = [&](size_t i, double now) {
+        Task &t = tasks[i];
+        if (t.attempt == 0) {
+            t.startMs = now;
+            CellResult replay;
+            if (replayCell(keys[i], opts, &replay)) {
+                ++t.attempt;
+                settle(i, std::move(replay));
+                return;
+            }
+        }
+        ++t.attempt;
+        if (opts.isolate) {
+            int fds[2];
+            if (::pipe(fds) == 0) {
+                const pid_t pid = ::fork();
+                if (pid == 0) {
+                    ::close(fds[0]);
+                    childRunCell(fds[1], cells[i], opts);
+                }
+                if (pid > 0) {
+                    ::close(fds[1]);
+                    t.pid = pid;
+                    t.fd = fds[0];
+                    t.buf.clear();
+                    t.preemptSent = false;
+                    t.deadline = opts.wallLimitMs > 0.0
+                        ? now + opts.wallLimitMs : 0.0;
+                    t.phase = Phase::Running;
+                    ++running;
+                    return;
+                }
+                const int err = errno;
+                ::close(fds[0]);
+                ::close(fds[1]);
+                errno = err;
+            }
+            warn("cannot fork a cell process (%s); running cell "
+                 "in-process", std::strerror(errno));
+        }
+        settle(i, runInline(cells[i], opts));
+    };
+
+    // The child delivered (full payload / EOF) or overran its
+    // wall-clock deadline: reap it and settle the attempt.
+    const auto finishRunning = [&](size_t i, bool timed_out) {
+        Task &t = tasks[i];
+        ::close(t.fd);
+        t.fd = -1;
+        --running;
+        t.phase = Phase::Pending; // settle() decides Done/Backoff.
+        if (timed_out)
+            ::kill(t.pid, SIGKILL);
+        int wstatus = 0;
+        ::waitpid(t.pid, &wstatus, 0);
+        t.pid = -1;
+        CellResult r = timed_out ? wallClockTimeout(opts)
+                                 : childResult(t.buf, wstatus);
+        t.buf.clear();
+        settle(i, std::move(r));
+    };
+
+    while (done < tasks.size()) {
+        double now = monotonicMs();
+
+        // Preemption: stop launching, tell every in-flight child to
+        // drain to its checkpoint, retire everything not yet started.
+        if (preemptPending()) {
+            for (Task &t : tasks) {
+                if (t.phase == Phase::Pending) {
+                    if (t.attempt == 0)
+                        markPreempted(&t.res, "sweep preempted "
+                                              "before this cell ran");
+                    // else keep the last transient failure.
+                    t.res.retries =
+                        t.attempt > 0 ? t.attempt - 1 : 0;
+                    t.phase = Phase::Done;
+                    ++done;
+                } else if (t.phase == Phase::Backoff) {
+                    t.phase = Phase::Done;
+                    ++done;
+                } else if (t.phase == Phase::Running &&
+                           !t.preemptSent &&
+                           !opts.checkpointDir.empty()) {
+                    // Only with mid-run checkpoints on does a SIGTERM
+                    // preserve (rather than discard) progress. The
+                    // child inherited the caller's signal disposition,
+                    // so its own handler sets its preempt flag.
+                    ::kill(t.pid, SIGTERM);
+                    t.preemptSent = true;
+                }
+            }
+        }
+
+        // Release elapsed backoffs back into the launch queue.
+        for (Task &t : tasks)
+            if (t.phase == Phase::Backoff && t.readyAt <= now)
+                t.phase = Phase::Pending;
+
+        // Launch pending cells, plan order first, up to the cap.
+        for (size_t i = 0;
+             i < tasks.size() && running < jobs && !preemptPending();
+             ++i)
+            if (tasks[i].phase == Phase::Pending)
+                launch(i, monotonicMs());
+
+        if (done >= tasks.size())
+            break;
+
+        // Wait for the earliest of: child output, a wall-clock
+        // deadline, or a backoff release. A SIGTERM to the sweep
+        // interrupts the poll (EINTR), so preemption is noticed
+        // immediately.
+        now = monotonicMs();
+        double wake = 0.0; // 0 = wait for output only.
+        std::vector<struct pollfd> pfds;
+        std::vector<size_t> pfd_task;
+        for (size_t i = 0; i < tasks.size(); ++i) {
+            const Task &t = tasks[i];
+            if (t.phase == Phase::Running) {
+                pfds.push_back({t.fd, POLLIN, 0});
+                pfd_task.push_back(i);
+                if (t.deadline > 0.0 &&
+                    (wake == 0.0 || t.deadline < wake))
+                    wake = t.deadline;
+            } else if (t.phase == Phase::Backoff &&
+                       (wake == 0.0 || t.readyAt < wake)) {
+                wake = t.readyAt;
+            }
+        }
+        int wait_ms = -1;
+        if (wake > 0.0)
+            wait_ms = std::max(0, static_cast<int>(wake - now)) + 1;
+        // With a preempt flag registered, bound the wait: a flag set
+        // without a signal delivery to this thread (e.g. from another
+        // thread, or a signal handled elsewhere in the process) must
+        // still be noticed promptly.
+        if (opts.exp.preempt && (wait_ms < 0 || wait_ms > 100))
+            wait_ms = 100;
+        int ready = 0;
+        if (!pfds.empty())
+            ready = ::poll(pfds.data(),
+                           static_cast<nfds_t>(pfds.size()),
+                           wait_ms);
+        else if (wait_ms > 0)
+            ready = ::poll(nullptr, 0, wait_ms);
+        if (ready < 0 && errno != EINTR)
+            warn("sweep: poll() failed: %s", std::strerror(errno));
+
+        now = monotonicMs();
+        for (size_t k = 0; k < pfds.size(); ++k) {
+            const size_t i = pfd_task[k];
+            Task &t = tasks[i];
+            if (!(pfds[k].revents & (POLLIN | POLLHUP | POLLERR)))
+                continue;
+            char chunk[4096];
+            const ssize_t r = ::read(t.fd, chunk, sizeof(chunk));
+            if (r > 0)
+                t.buf.append(chunk, static_cast<size_t>(r));
+            const bool eof = r == 0 ||
+                (r < 0 && errno != EINTR && errno != EAGAIN);
+            if (eof || cellPayloadComplete(t.buf))
+                finishRunning(i, false);
+        }
+        // Deadlines fire even for children producing no output.
+        for (size_t i = 0; i < tasks.size(); ++i) {
+            Task &t = tasks[i];
+            if (t.phase == Phase::Running && t.deadline > 0.0 &&
+                now >= t.deadline)
+                finishRunning(i, true);
+        }
     }
-    if (jobs > 1)
-        return runSweepParallel(cells, opts, jobs);
 
     SweepReport report;
     report.cells = cells;
     report.results.reserve(cells.size());
-    for (size_t i = 0; i < cells.size(); ++i) {
-        const SweepCell &cell = cells[i];
-        // A preemption request stops the sweep between cells too:
-        // the remaining plan is marked preempted-without-running and
-        // re-executes on resume.
-        if (opts.exp.preempt && *opts.exp.preempt) {
-            CellResult skipped;
-            markPreempted(&skipped,
-                          "sweep preempted before this cell ran");
-            report.results.push_back(std::move(skipped));
-            continue;
-        }
-        const double start = monotonicMs();
-        CellResult res = executeCell(cell, opts);
-        res.wallMs = monotonicMs() - start;
-        if (opts.verbose)
-            inform("sweep [%zu/%zu] %s / %s: %s%s%s%s", i + 1,
-                   cells.size(), cellConfigName(cell).c_str(),
-                   cellWorkloadName(cell).c_str(),
-                   cellOutcomeName(res.outcome),
-                   res.fromStore ? " (replayed)" : "",
-                   res.status.ok() ? "" : " - ",
-                   res.status.ok() ? ""
-                                   : res.status.toString().c_str());
-        report.results.push_back(std::move(res));
-    }
+    for (Task &t : tasks)
+        report.results.push_back(std::move(t.res));
     return report;
 }
 

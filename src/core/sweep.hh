@@ -93,6 +93,25 @@ crossCpuCells(const std::vector<CpuConfig> &cfgs,
  */
 Result<SweepCell> parseWorkloadSpec(const std::string &spec);
 
+/** Split a comma-separated list, dropping empty items. */
+std::vector<std::string> splitCsvList(const std::string &list);
+
+/**
+ * CPU configurations named by a comma-separated list of display
+ * names; "all" means every CPU configuration, in enum order. An
+ * unknown name is an error that lists the valid ones.
+ */
+Result<std::vector<CpuConfig>>
+cpuConfigsFromList(const std::string &list);
+
+/**
+ * One cell from a configuration name and a workload spec (see
+ * parseWorkloadSpec). The spec's kind picks the config family: a
+ * "kernel:" spec names a GPU configuration, every other a CPU one.
+ */
+Result<SweepCell> parseCellEntry(const std::string &config,
+                                 const std::string &spec);
+
 /** What happened in one cell. */
 struct CellResult
 {
@@ -136,12 +155,13 @@ struct SweepOptions
     bool isolate = true;
     /** inform() one line per cell as the sweep progresses. */
     bool verbose = false;
-    /** Concurrent isolated cells. The scheduler forks up to this
-     *  many children at once and multiplexes their result pipes from
-     *  the calling thread (children are never forked from worker
-     *  threads). Requires `isolate`; with inline cells the value is
-     *  ignored (serial, with a warning). Results always land in plan
-     *  order, so the report is byte-identical for any job count. A
+    /** Concurrent isolated cells (0 and 1 both mean one at a time).
+     *  The scheduler forks up to this many children at once and
+     *  multiplexes their result pipes from the calling thread
+     *  (children are never forked from worker threads). Inline cells
+     *  run one at a time whatever the value (with a warning when it
+     *  asks for more). Results always land in plan order, so the
+     *  report is byte-identical for any job count. A
      *  preemption request (exp.preempt) is forwarded as SIGTERM to
      *  *every* in-flight child when mid-run checkpoints are on, so
      *  each drains to its own resumable checkpoint. */
@@ -210,6 +230,10 @@ struct SweepReport
 std::string cellStoreKey(const SweepCell &cell,
                          const SweepOptions &opts);
 
+/** Host monotonic clock in milliseconds (watchdogs and deadlines;
+ *  never part of a report). */
+double monotonicMs();
+
 /** Display helpers for summaries. */
 std::string cellConfigName(const SweepCell &cell);
 std::string cellWorkloadName(const SweepCell &cell);
@@ -217,7 +241,9 @@ std::string cellWorkloadName(const SweepCell &cell);
 /**
  * Run every cell, isolating and watchdogging per SweepOptions. Never
  * aborts on a bad cell: the worst a cell can do is mark itself
- * Failed/TimedOut.
+ * Failed/TimedOut. One scheduler serves every job count and both
+ * isolation modes; an inline cell is a launch that completes in
+ * place.
  */
 SweepReport runSweep(const std::vector<SweepCell> &cells,
                      const SweepOptions &opts = {});

@@ -18,6 +18,7 @@
 
 #include "core/result_store.hh"
 #include "core/server.hh"
+#include "core/sweep.hh"
 
 using namespace hetsim;
 using namespace hetsim::core;
@@ -270,6 +271,49 @@ TEST(BatchServer, RunJobExecutesAndWarmHitsAreByteIdentical)
 
     std::string cmd = "rm -rf " + opts.storeDir;
     [[maybe_unused]] int rc = std::system(cmd.c_str());
+}
+
+TEST(BatchServer, SweepJobEmbedsTheLocalSweepBytes)
+{
+    ServeOptions opts;
+    opts.socketPath = tempSocketPath("sweep");
+    opts.verbose = false;
+    ServerFixture fx(opts);
+    ASSERT_TRUE(fx.startStatus().ok())
+        << fx.startStatus().toString();
+
+    Result<std::string> served = submitJob(
+        opts.socketPath,
+        "{\"cmd\":\"sweep\",\"configs\":\"BaseCMOS,AdvHet\","
+        "\"workloads\":\"fft,lu\",\"scale\":0.02}",
+        60000.0);
+    ASSERT_TRUE(served.ok()) << served.status().toString();
+
+    SweepOptions local;
+    local.exp.scale = 0.02;
+    std::vector<SweepCell> cells;
+    for (CpuConfig cfg : {CpuConfig::BaseCmos, CpuConfig::AdvHet})
+        for (const char *app : {"fft", "lu"})
+            cells.push_back(cpuAppCell(cfg, app));
+    std::string expected = sweepReportToJson(runSweep(cells, local));
+    expected.pop_back(); // The envelope embeds it without the newline.
+    EXPECT_EQ(reportPart(served.value()),
+              "\"report\":" + expected + "}\n");
+
+    // "all" (the default) means every CPU configuration, as in the
+    // CLI's sweep.
+    Result<std::string> all = submitJob(
+        opts.socketPath,
+        "{\"cmd\":\"sweep\",\"workloads\":\"fft\",\"scale\":0.02}",
+        60000.0);
+    ASSERT_TRUE(all.ok()) << all.status().toString();
+    size_t cells_served = 0;
+    for (size_t at = all.value().find("\"config\":");
+         at != std::string::npos;
+         at = all.value().find("\"config\":", at + 1))
+        ++cells_served;
+    EXPECT_EQ(cells_served, static_cast<size_t>(kNumCpuConfigs))
+        << all.value();
 }
 
 TEST(BatchServer, BadJobInputIsAPerJobError)

@@ -11,13 +11,13 @@
 
 #include <dirent.h>
 #include <signal.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/result_store.hh"
@@ -110,6 +110,50 @@ TEST(CrossCpuCells, CrossesAndRejectsGpuSpecs)
     auto bad = crossCpuCells({CpuConfig::BaseCmos}, {"kernel:dct"});
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.status().code(), ErrorCode::InvalidArgument);
+}
+
+TEST(CpuConfigsFromList, AllIsEveryCpuConfigAndUnknownNamesFail)
+{
+    auto all = cpuConfigsFromList("all");
+    ASSERT_TRUE(all.ok());
+    EXPECT_EQ(all.value().size(), static_cast<size_t>(kNumCpuConfigs));
+    EXPECT_EQ(all.value(), allCpuConfigs());
+
+    auto two = cpuConfigsFromList("AdvHet,BaseCMOS");
+    ASSERT_TRUE(two.ok());
+    EXPECT_EQ(two.value(), (std::vector<CpuConfig>{
+                               CpuConfig::AdvHet, CpuConfig::BaseCmos}));
+
+    auto bad = cpuConfigsFromList("BaseCMOS,NoSuchConfig");
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), ErrorCode::NotFound);
+    EXPECT_NE(bad.status().message().find("NoSuchConfig"),
+              std::string::npos);
+    // The error lists the valid names.
+    EXPECT_NE(bad.status().message().find("AdvHet-2X"),
+              std::string::npos)
+        << bad.status().message();
+}
+
+TEST(ParseCellEntry, SpecKindPicksTheConfigFamily)
+{
+    auto cpu = parseCellEntry("AdvHet", "app:fft@scale=2");
+    ASSERT_TRUE(cpu.ok());
+    EXPECT_EQ(cpu.value().kind, SweepCell::Kind::CpuApp);
+    EXPECT_EQ(cpu.value().cpuCfg, CpuConfig::AdvHet);
+    EXPECT_DOUBLE_EQ(cpu.value().scaleOverride, 2.0);
+
+    auto gpu = parseCellEntry("AdvHet-2X", "kernel:dct");
+    ASSERT_TRUE(gpu.ok());
+    EXPECT_EQ(gpu.value().kind, SweepCell::Kind::GpuKernel);
+    EXPECT_EQ(gpu.value().gpuCfg, GpuConfig::AdvHet2X);
+    EXPECT_EQ(gpu.value().workload, "dct");
+
+    // A CPU-only configuration name does not name a GPU one.
+    auto wrong = parseCellEntry("BaseHet-FastALU", "kernel:dct");
+    ASSERT_FALSE(wrong.ok());
+    EXPECT_EQ(wrong.status().code(), ErrorCode::NotFound);
+    EXPECT_FALSE(parseCellEntry("AdvHet", "app:").ok());
 }
 
 /**
@@ -642,12 +686,18 @@ TEST(SweepJobs, PreemptionForwardsSigtermToAllInflightCells)
     using SigHandler = void (*)(int);
     const SigHandler prev = ::signal(SIGTERM, sweepPreemptHandler);
 
-    std::thread preempter([] {
-        ::usleep(300 * 1000);
-        g_sweep_preempt = 1;
-    });
+    // The preemption lands 300 ms in from a one-shot SIGALRM, not a
+    // helper thread: forking from a multi-threaded process can leave
+    // a child blocked on a lock another thread held at fork time.
+    const SigHandler prev_alarm =
+        ::signal(SIGALRM, sweepPreemptHandler);
+    struct itimerval shot = {};
+    shot.it_value.tv_usec = 300 * 1000;
+    ASSERT_EQ(::setitimer(ITIMER_REAL, &shot, nullptr), 0);
     const SweepReport report = runSweep(plan, opts);
-    preempter.join();
+    const struct itimerval off = {};
+    ::setitimer(ITIMER_REAL, &off, nullptr);
+    ::signal(SIGALRM, prev_alarm);
     ::signal(SIGTERM, prev);
 
     ASSERT_EQ(report.results.size(), plan.size());
