@@ -5,22 +5,23 @@
  *
  * Enumerates every free-form per-unit CMOS/TFET/high-V_t assignment
  * (a few hundred designs vs the paper's ~15), evaluates them on one
- * application over a thread pool with memoization, prints the Pareto
- * front over (time, energy, area), and then shows that a greedy
- * unit-flip hill-climb — the strategy for spaces too large to
- * enumerate — lands on a front design while visiting a fraction of
- * the space (and hitting the shared cache for every design the
- * exhaustive pass already simulated).
+ * application through the sweep runner (`jobs` forked cells at once),
+ * prints the Pareto front over (time, energy, area), and then shows
+ * that a greedy unit-flip hill-climb — the strategy for spaces too
+ * large to enumerate — lands on a front design while visiting a
+ * fraction of the space.
  *
- * Usage: dse_explorer [app] [scale] [jobs]
+ * Usage: dse_explorer [app] [scale] [jobs]   (jobs defaults to the
+ * host's core count)
  */
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 #include "core/area.hh"
 #include "core/dse.hh"
 
@@ -33,7 +34,7 @@ main(int argc, char **argv)
     const double scale = argc > 2 ? std::atof(argv[2]) : 0.05;
     const unsigned jobs = argc > 3
         ? static_cast<unsigned>(std::atoi(argv[3]))
-        : ThreadPool::defaultThreads();
+        : static_cast<unsigned>(::sysconf(_SC_NPROCESSORS_ONLN));
 
     const auto found = workload::findCpuApp(app_name);
     if (!found.ok()) {
@@ -47,16 +48,13 @@ main(int argc, char **argv)
     opts.exp.scale = scale;
     opts.jobs = jobs;
 
-    ThreadPool pool(jobs);
-    core::DseCache cache;
-
     const auto designs = core::enumerateCpuDesigns();
     std::printf("Exploring %zu hybrid designs on '%s' with %u "
                 "job(s)...\n",
                 designs.size(), app.name, jobs);
 
     const auto points =
-        core::evaluateCpuDesigns(designs, app, opts, pool, cache);
+        core::evaluateCpuDesigns(designs, app, opts);
     const auto front = core::paretoFront(points,
                                          core::DseObjective::Ed2);
 
@@ -83,15 +81,12 @@ main(int argc, char **argv)
             std::printf("The paper's AdvHet is on the front: %s\n",
                         points[idx].name.c_str());
 
-    // Greedy hill-climb over the same space: every point it visits
-    // was already simulated above, so this costs only cache hits.
-    const uint64_t misses_before = cache.misses();
-    const auto climb = core::greedyCpuSearch(app, opts, pool, cache);
-    std::printf("\nGreedy hill-climb visited %zu designs "
-                "(%llu new simulations) and found: %s\n",
-                climb.size(),
-                static_cast<unsigned long long>(cache.misses() -
-                                                misses_before),
+    // Greedy hill-climb over the same space: it simulates only the
+    // neighbors along its path.
+    const auto climb = core::greedyCpuSearch(app, opts);
+    std::printf("\nGreedy hill-climb visited %zu of %zu designs and "
+                "found: %s\n",
+                climb.size(), designs.size(),
                 climb.empty() ? "-" : climb.front().name.c_str());
     return 0;
 }

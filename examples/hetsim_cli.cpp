@@ -32,7 +32,8 @@
  *                     [--scale S] [--max M] --out trace.bin
  *       Record a synthetic trace to a binary file.
  *   hetsim_cli replay --trace trace.bin [--config BaseCMOS]
- *       Replay a recorded trace through a single core.
+ *       Replay a recorded trace through a single core (one inline
+ *       trace cell of the sweep runner).
  *   hetsim_cli sweep [--configs all|A,B] [--workloads w1,w2]
  *                    [--scale S] [--seed K] [--freq F]
  *                    [--jobs N] [--timeout-ms T]
@@ -67,18 +68,18 @@
  *                  [--objective ed2|energy|time]
  *                  [--strategy exhaustive|greedy] [--jobs N]
  *                  [--budget-mm2 X] [--scale S] [--seed K] [--freq F]
- *                  [--repeat R] [--csv out.csv]
+ *                  [--store DIR] [--csv out.csv]
  *       Explore the free-form hybrid-design space (per-unit
- *       CMOS/TFET/high-V_t choices beyond Table IV) on one workload,
- *       fanning cells out over --jobs threads with a memoization
- *       cache, and report the Pareto front over (time, energy, area).
- *       Output is identical for any --jobs value; --repeat R > 1
- *       re-runs the search to demonstrate the cache (every repeated
- *       cell is a hit, not a re-simulation). --report-json writes the
- *       evaluated points as JSON, byte-identical for any --jobs.
- *       --store DIR adds a durable second cache tier: memo misses
- *       consult the on-disk store before simulating, so a repeated
- *       exploration in a new process is warm.
+ *       CMOS/TFET/high-V_t choices beyond Table IV) on one workload
+ *       and report the Pareto front over (time, energy, area). Every
+ *       design is a cell of the sweep runner, up to --jobs forked at
+ *       once; results land in plan order, so the output is identical
+ *       for any --jobs value. --report-json writes the evaluated
+ *       points as JSON, byte-identical for any --jobs. --store DIR is
+ *       the exploration's memo: cells are journaled to the on-disk
+ *       store and replayed from it, so a repeated exploration is
+ *       warm. A design whose run fails or hits the cycle watchdog is
+ *       skipped with a warning, never ranked.
  *   hetsim_cli serve --socket /tmp/hetsim.sock [--store DIR]
  *                    [--jobs N] [--timeout-ms T]
  *                    [--watchdog-cycles N] [--retries R]
@@ -118,10 +119,16 @@
  *   table and writes byte-identical --report-json output without
  *   re-simulating (bypassed when --trace-out is requested).
  *
- * The library reports input errors as Status values; this front end
- * is where they become messages and a nonzero process exit.
+ * Every option takes a value; an unknown option, a missing value or
+ * a malformed number is an error. The library reports input errors as
+ * Status values; this front end is where they become messages and a
+ * nonzero process exit.
  */
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -137,13 +144,11 @@
 #include "common/logging.hh"
 #include "common/status.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 #include "core/dse.hh"
 #include "core/experiment.hh"
 #include "core/result_store.hh"
 #include "core/server.hh"
 #include "core/sweep.hh"
-#include "cpu/multicore.hh"
 #include "workload/cpu_trace_gen.hh"
 #include "workload/trace_file.hh"
 
@@ -182,16 +187,24 @@ dieOn(const Status &status)
     die("%s", status.toString().c_str());
 }
 
-/** Minimal --key value argument parser. */
+/** --key value arguments, checked against the options the command
+ *  takes. Malformed input is an error, never a silent default. */
 class Args
 {
   public:
-    Args(int argc, char **argv, int first)
+    Args(int argc, char **argv, int first,
+         const std::vector<std::string> &known)
     {
-        for (int i = first; i + 1 < argc; i += 2) {
+        for (int i = first; i < argc; i += 2) {
             if (std::strncmp(argv[i], "--", 2) != 0)
                 die("expected --option, got '%s'", argv[i]);
-            kv_[argv[i] + 2] = argv[i + 1];
+            const std::string key = argv[i] + 2;
+            if (std::find(known.begin(), known.end(), key) ==
+                known.end())
+                die("unknown option --%s", key.c_str());
+            if (i + 1 >= argc)
+                die("--%s needs a value", key.c_str());
+            kv_[key] = argv[i + 1];
         }
     }
 
@@ -202,20 +215,51 @@ class Args
         return it == kv_.end() ? dflt : it->second;
     }
 
+    /** A finite number; anything else after it is an error. */
     double
     getD(const std::string &key, double dflt) const
     {
         auto it = kv_.find(key);
-        return it == kv_.end() ? dflt : std::atof(it->second.c_str());
+        if (it == kv_.end())
+            return dflt;
+        const char *text = it->second.c_str();
+        char *end = nullptr;
+        errno = 0;
+        const double v = std::strtod(text, &end);
+        if (end == text || *end != '\0' || errno == ERANGE ||
+            !std::isfinite(v))
+            die("--%s needs a number, got '%s'", key.c_str(), text);
+        return v;
     }
 
+    /** getD() of a quantity that must be above zero (a scale or a
+     *  frequency). */
+    double
+    getPositive(const std::string &key, double dflt) const
+    {
+        const double v = getD(key, dflt);
+        if (v <= 0.0)
+            die("--%s must be positive, got '%s'", key.c_str(),
+                get(key).c_str());
+        return v;
+    }
+
+    /** A non-negative decimal integer (no sign, no trailing text). */
     uint64_t
     getU(const std::string &key, uint64_t dflt) const
     {
         auto it = kv_.find(key);
-        return it == kv_.end()
-            ? dflt
-            : std::strtoull(it->second.c_str(), nullptr, 10);
+        if (it == kv_.end())
+            return dflt;
+        const char *text = it->second.c_str();
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long long v = std::strtoull(text, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+            *end != '\0' || errno == ERANGE)
+            die("--%s needs a non-negative integer, got '%s'",
+                key.c_str(), text);
+        return v;
     }
 
   private:
@@ -392,7 +436,7 @@ core::ExperimentOptions
 runOptions(const Args &args)
 {
     core::ExperimentOptions opts;
-    opts.scale = args.getD("scale", 1.0);
+    opts.scale = args.getPositive("scale", 1.0);
     opts.seed = args.getU("seed", 1);
     opts.noSkip = args.getU("no-skip", 0) != 0;
     opts.checkpointPath = args.get("checkpoint");
@@ -492,7 +536,7 @@ cmdRun(const Args &args)
     if (!app.ok())
         dieOn(app.status());
     core::ExperimentOptions opts = runOptions(args);
-    opts.freqGhz = args.getD("freq", 2.0);
+    opts.freqGhz = args.getPositive("freq", 2.0);
     opts.coresOverride =
         static_cast<uint32_t>(args.getU("cores", 0));
     const std::string config = core::cpuConfigName(cfg);
@@ -580,7 +624,7 @@ cmdRecord(const Args &args)
         static_cast<uint32_t>(args.getU("thread", 0));
     workload::SyntheticCpuTrace src(*app.value(), thread, threads,
                                     args.getU("seed", 1),
-                                    args.getD("scale", 1.0));
+                                    args.getPositive("scale", 1.0));
     const Result<uint64_t> n = workload::recordTrace(
         src, out_path, args.getU("max", ~0ull));
     if (!n.ok())
@@ -599,24 +643,22 @@ cmdReplay(const Args &args)
     if (path.empty())
         die("replay needs --trace <file>");
     const auto cfg = cpuConfigByName(args.get("config", "BaseCMOS"));
-    const core::CpuConfigBundle bundle = core::makeCpuConfig(cfg);
 
-    auto trace = workload::FileTrace::open(path);
-    if (!trace.ok())
-        dieOn(trace.status());
-    cpu::MulticoreParams sim = bundle.sim;
-    sim.mem.numCores = 1;
-    cpu::Multicore mc(sim, {trace.value().get()});
-    const cpu::MulticoreResult run = mc.run();
-    if (!trace.value()->status().ok())
-        dieOn(trace.value()->status());
+    // One inline trace cell: the sweep runner's single-core replay.
+    core::SweepOptions opts;
+    opts.isolate = false;
+    const core::CellResult res =
+        core::runSweep({core::cpuTraceCell(cfg, path)}, opts)
+            .results.front();
+    if (res.outcome != core::CellOutcome::Ok)
+        dieOn(res.status);
     std::printf("replayed %llu ops from %s on one %s core: "
                 "%llu cycles (%.4f ms, IPC %.2f)\n",
-                static_cast<unsigned long long>(run.committedOps),
+                static_cast<unsigned long long>(res.ops),
                 path.c_str(), core::cpuConfigName(cfg),
-                static_cast<unsigned long long>(run.cycles),
-                run.seconds * 1e3,
-                static_cast<double>(run.committedOps) / run.cycles);
+                static_cast<unsigned long long>(res.cycles),
+                res.seconds * 1e3,
+                static_cast<double>(res.ops) / res.cycles);
     return 0;
 }
 
@@ -665,8 +707,8 @@ cmdSweep(const Args &args)
         die("sweep needs --workloads, --kernels, or --cells");
 
     core::SweepOptions opts;
-    opts.exp.scale = args.getD("scale", 1.0);
-    opts.exp.freqGhz = args.getD("freq", 2.0);
+    opts.exp.scale = args.getPositive("scale", 1.0);
+    opts.exp.freqGhz = args.getPositive("freq", 2.0);
     opts.exp.seed = args.getU("seed", 1);
     opts.exp.watchdogCycles = args.getU("watchdog-cycles", 0);
     opts.exp.noSkip = args.getU("no-skip", 0) != 0;
@@ -750,8 +792,8 @@ cmdDse(const Args &args)
         die("--space must be cpu or gpu, got '%s'", space.c_str());
 
     core::DseOptions opts;
-    opts.exp.scale = args.getD("scale", 0.05);
-    opts.exp.freqGhz = args.getD("freq", 2.0);
+    opts.exp.scale = args.getPositive("scale", 0.05);
+    opts.exp.freqGhz = args.getPositive("freq", 2.0);
     opts.exp.seed = args.getU("seed", 1);
     opts.exp.noSkip = args.getU("no-skip", 0) != 0;
     opts.jobs = static_cast<unsigned>(args.getU("jobs", 1));
@@ -767,57 +809,33 @@ cmdDse(const Args &args)
     if (strategy != "exhaustive" && strategy != "greedy")
         die("--strategy must be exhaustive or greedy, got '%s'",
             strategy.c_str());
-    const uint64_t repeat = std::max<uint64_t>(
-        args.getU("repeat", 1), 1);
 
     std::optional<core::ResultStore> store = openStoreArg(args);
     opts.store = store ? &*store : nullptr;
 
-    ThreadPool pool(opts.jobs);
-    core::DseCache cache;
     std::vector<core::DsePoint> points;
-    uint64_t prev_hits = 0, prev_misses = 0;
-
-    for (uint64_t pass = 1; pass <= repeat; ++pass) {
-        if (space == "cpu") {
-            const auto app =
-                workload::findCpuApp(args.get("app", "fft"));
-            if (!app.ok())
-                dieOn(app.status());
-            if (strategy == "greedy") {
-                points = core::greedyCpuSearch(*app.value(), opts,
-                                               pool, cache);
-            } else {
-                points = core::evaluateCpuDesigns(
-                    core::enumerateCpuDesigns(), *app.value(), opts,
-                    pool, cache);
-            }
-        } else {
-            if (strategy == "greedy")
-                die("--strategy greedy explores the CPU space; "
-                    "the 17-design GPU space is exhaustive-only");
-            const auto kernel = workload::findGpuKernel(
-                args.get("kernel", "matrixmul"));
-            if (!kernel.ok())
-                dieOn(kernel.status());
-            points = core::evaluateGpuDesigns(
-                core::enumerateGpuDesigns(), *kernel.value(), opts,
-                pool, cache);
-        }
-        const uint64_t hits = cache.hits() - prev_hits;
-        const uint64_t misses = cache.misses() - prev_misses;
-        prev_hits = cache.hits();
-        prev_misses = cache.misses();
-        std::printf("pass %llu/%llu: %zu designs evaluated "
-                    "(%llu simulated, %llu cache hits)\n",
-                    static_cast<unsigned long long>(pass),
-                    static_cast<unsigned long long>(repeat),
-                    points.size(),
-                    static_cast<unsigned long long>(misses),
-                    static_cast<unsigned long long>(hits));
+    if (space == "cpu") {
+        const auto app = workload::findCpuApp(args.get("app", "fft"));
+        if (!app.ok())
+            dieOn(app.status());
+        points = strategy == "greedy"
+            ? core::greedyCpuSearch(*app.value(), opts)
+            : core::evaluateCpuDesigns(core::enumerateCpuDesigns(),
+                                       *app.value(), opts);
+    } else {
+        if (strategy == "greedy")
+            die("--strategy greedy explores the CPU space; "
+                "the 17-design GPU space is exhaustive-only");
+        const auto kernel =
+            workload::findGpuKernel(args.get("kernel", "matrixmul"));
+        if (!kernel.ok())
+            dieOn(kernel.status());
+        points = core::evaluateGpuDesigns(core::enumerateGpuDesigns(),
+                                          *kernel.value(), opts);
     }
     if (points.empty())
-        die("no designs survived synthesis and the area budget");
+        die("no design survived synthesis, the area budget and its "
+            "run");
 
     const std::vector<size_t> front =
         core::paretoFront(points, opts.objective);
@@ -849,11 +867,7 @@ cmdDse(const Args &args)
         ? tableIvNameCpu(best.hash) : tableIvNameGpu(best.hash);
     if (!best_iv.empty())
         std::printf(" (= Table IV %s)", best_iv.c_str());
-    std::printf("\ncache: %llu hits, %llu misses across %llu "
-                "pass(es)\n",
-                static_cast<unsigned long long>(cache.hits()),
-                static_cast<unsigned long long>(cache.misses()),
-                static_cast<unsigned long long>(repeat));
+    std::printf("\n");
     if (store) {
         const core::ResultStore::Counters sc = store->counters();
         std::printf("store: %llu hits, %llu misses, %llu writes, "
@@ -977,7 +991,7 @@ cmdStore(int argc, char **argv)
     if (sub != "fsck" && sub != "gc")
         die("unknown store subcommand '%s' (expected fsck or gc)",
             sub.c_str());
-    const Args args(argc, argv, 3);
+    const Args args(argc, argv, 3, {"dir"});
     const std::string dir = args.get("dir");
     if (dir.empty())
         die("store %s needs --dir <store directory>", sub.c_str());
@@ -1037,9 +1051,46 @@ cmdSubmit(const Args &args)
 
 } // namespace
 
+/** A command and the options it takes. */
+struct Command
+{
+    const char *name;
+    int (*run)(const Args &);
+    std::vector<std::string> options;
+};
+
 int
 main(int argc, char **argv)
 {
+    const Command commands[] = {
+        {"list", [](const Args &) { return cmdList(); }, {}},
+        {"run", cmdRun,
+         {"config", "app", "scale", "freq", "cores", "seed", "no-skip",
+          "csv", "report-json", "trace-out", "trace-capacity",
+          "checkpoint", "checkpoint-every", "store"}},
+        {"gpu", cmdGpu,
+         {"config", "kernel", "scale", "seed", "no-skip", "report-json",
+          "trace-out", "trace-capacity", "checkpoint",
+          "checkpoint-every", "store"}},
+        {"record", cmdRecord,
+         {"app", "out", "thread", "threads", "seed", "scale", "max"}},
+        {"replay", cmdReplay, {"trace", "config"}},
+        {"sweep", cmdSweep,
+         {"configs", "workloads", "gpu-configs", "kernels", "cells",
+          "scale", "freq", "seed", "watchdog-cycles", "no-skip",
+          "timeout-ms", "no-isolate", "jobs", "store", "resume",
+          "retries", "retry-backoff-ms", "checkpoint-every", "csv",
+          "report-json"}},
+        {"dse", cmdDse,
+         {"space", "app", "kernel", "objective", "strategy", "jobs",
+          "budget-mm2", "scale", "seed", "freq", "no-skip", "store",
+          "csv", "report-json"}},
+        {"serve", cmdServe,
+         {"socket", "store", "jobs", "timeout-ms", "watchdog-cycles",
+          "retries", "retry-backoff-ms", "request-timeout-ms",
+          "verbose", "checkpoint-every", "report-json"}},
+        {"submit", cmdSubmit, {"socket", "request", "timeout-ms"}},
+    };
     if (argc < 2) {
         std::fprintf(stderr,
                      "usage: hetsim_cli "
@@ -1051,24 +1102,8 @@ main(int argc, char **argv)
     const std::string cmd = argv[1];
     if (cmd == "store")
         return cmdStore(argc, argv);
-    const Args args(argc, argv, 2);
-    if (cmd == "list")
-        return cmdList();
-    if (cmd == "run")
-        return cmdRun(args);
-    if (cmd == "gpu")
-        return cmdGpu(args);
-    if (cmd == "record")
-        return cmdRecord(args);
-    if (cmd == "replay")
-        return cmdReplay(args);
-    if (cmd == "sweep")
-        return cmdSweep(args);
-    if (cmd == "dse")
-        return cmdDse(args);
-    if (cmd == "serve")
-        return cmdServe(args);
-    if (cmd == "submit")
-        return cmdSubmit(args);
+    for (const Command &c : commands)
+        if (cmd == c.name)
+            return c.run(Args(argc, argv, 2, c.options));
     die("unknown command '%s'", cmd.c_str());
 }

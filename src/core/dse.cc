@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <unordered_map>
 
 #include "common/envelope.hh"
 #include "common/file.hh"
 #include "common/logging.hh"
 #include "core/area.hh"
+#include "core/sweep.hh"
 
 namespace hetsim::core
 {
@@ -558,122 +560,41 @@ DsePoint::objective(DseObjective o) const
     }
 }
 
-bool
-DseCache::lookup(const std::string &key, DsePoint *out)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-        ++misses_;
-        return false;
-    }
-    ++hits_;
-    *out = it->second;
-    out->cached = true;
-    return true;
-}
-
-void
-DseCache::insert(const std::string &key, const DsePoint &point)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.emplace(key, point);
-}
-
-uint64_t
-DseCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-uint64_t
-DseCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
-
-std::string
-dseCacheKey(uint64_t design_hash, const std::string &workload,
-            const ExperimentOptions &opts)
-{
-    char hash[24];
-    std::snprintf(hash, sizeof(hash), "%016llx",
-                  static_cast<unsigned long long>(design_hash));
-    return "dse-cell-v1|" + runKey("dse", hash, workload, opts);
-}
-
 namespace
 {
 
-/** A synthesized, budget-admitted cell awaiting evaluation. */
-template <typename Bundle>
-struct PreparedCell
-{
-    std::string name;
-    uint64_t hash = 0;
-    std::string key;
-    Bundle bundle;
-    double areaMm2 = 0.0;
-    uint32_t cores = 0;
-};
-
-/** Durable-store payload of one evaluated point. Name, hash, area,
- *  and core count are recomputed from the design at admission time,
- *  so only the simulated metrics need to persist. */
-#pragma pack(push, 1)
-struct DseCellPayload
-{
-    double seconds;
-    double energyJ;
-};
-#pragma pack(pop)
-
 /**
- * Shared fan-out: every prepared cell runs `simulate` unless the
- * in-memory memo holds its key, or — behind that — the durable store
- * does. Fresh simulations are journaled back to the store. Each cell
- * writes only slot i, so the result vector is identical for any job
- * count and any mix of memo/store/simulated sources.
+ * Run admitted design cells through the one sweep executor (the
+ * store, when given, is its journal and memo) and fill each point's
+ * metrics from its cell. Only Ok cells become points: a failed run,
+ * or one the cycle watchdog cut short, says nothing about the design
+ * and must not be ranked.
  */
-template <typename Bundle, typename Simulate>
 std::vector<DsePoint>
-evaluateCells(const std::vector<PreparedCell<Bundle>> &cells,
-              ThreadPool &pool, DseCache &cache, ResultStore *store,
-              const Simulate &simulate)
+runDesignCells(std::vector<DsePoint> points,
+               const std::vector<SweepCell> &cells,
+               const DseOptions &opts)
 {
-    std::vector<DsePoint> results(cells.size());
-    pool.parallelFor(cells.size(), [&](size_t i) {
-        const auto &cell = cells[i];
-        DsePoint p;
-        if (!cache.lookup(cell.key, &p)) {
-            p.name = cell.name;
-            p.hash = cell.hash;
-            p.areaMm2 = cell.areaMm2;
-            p.cores = cell.cores;
-            DseCellPayload m;
-            const std::string hit =
-                store != nullptr ? store->get(cell.key).valueOr("") : "";
-            if (hit.size() == sizeof(m)) {
-                std::memcpy(&m, hit.data(), sizeof(m));
-            } else {
-                simulate(cell, &p);
-                m = {p.seconds, p.energyJ};
-                const std::string bytes(reinterpret_cast<char *>(&m),
-                                        sizeof(m));
-                if (store != nullptr)
-                    if (Status s = store->put(cell.key, bytes); !s.ok())
-                        warn("dse store write failed: %s",
-                             s.toString().c_str());
-            }
-            p.seconds = m.seconds;
-            p.energyJ = m.energyJ;
-            cache.insert(cell.key, p);
+    SweepOptions sweep;
+    sweep.exp = opts.exp;
+    sweep.jobs = opts.jobs;
+    sweep.store = opts.store;
+    sweep.resume = opts.store != nullptr;
+    const SweepReport report = runSweep(cells, sweep);
+    std::vector<DsePoint> out;
+    out.reserve(points.size());
+    for (size_t i = 0; i < points.size(); ++i) {
+        const CellResult &r = report.results[i];
+        if (r.outcome != CellOutcome::Ok) {
+            warn("dse: skipping %s (%s): %s", points[i].name.c_str(),
+                 cellOutcomeName(r.outcome), r.status.message().c_str());
+            continue;
         }
-        results[i] = p;
-    });
-    return results;
+        points[i].seconds = r.seconds;
+        points[i].energyJ = r.energyJ;
+        out.push_back(std::move(points[i]));
+    }
+    return out;
 }
 
 } // namespace
@@ -681,13 +602,12 @@ evaluateCells(const std::vector<PreparedCell<Bundle>> &cells,
 std::vector<DsePoint>
 evaluateCpuDesigns(const std::vector<CpuHybridDesign> &designs,
                    const workload::AppProfile &app,
-                   const DseOptions &opts, ThreadPool &pool,
-                   DseCache &cache)
+                   const DseOptions &opts)
 {
-    // Synthesis and the area filter are cheap; doing them serially
-    // keeps cell admission deterministic and the fan-out pure.
-    std::vector<PreparedCell<CpuConfigBundle>> cells;
-    cells.reserve(designs.size());
+    // Synthesis and the area filter are cheap; doing them here, in
+    // plan order, keeps cell admission deterministic.
+    std::vector<DsePoint> points;
+    std::vector<SweepCell> cells;
     for (const CpuHybridDesign &d : designs) {
         Result<CpuConfigBundle> bundle =
             synthesizeCpuBundle(d, opts.exp.freqGhz);
@@ -696,60 +616,36 @@ evaluateCpuDesigns(const std::vector<CpuHybridDesign> &designs,
         const double area = chipAreaMm2(bundle.value());
         if (opts.areaBudgetMm2 > 0.0 && area > opts.areaBudgetMm2)
             continue;
-        PreparedCell<CpuConfigBundle> cell;
-        cell.name = designName(d);
-        cell.hash = designHash(d);
-        cell.key = dseCacheKey(cell.hash, std::string("cpu:") +
-                               app.name, opts.exp);
-        cell.bundle = std::move(bundle.value());
-        cell.areaMm2 = area;
-        cell.cores = cell.bundle.numCores;
-        cells.push_back(std::move(cell));
+        points.push_back({.name = designName(d),
+                          .hash = designHash(d),
+                          .areaMm2 = area,
+                          .cores = bundle.value().numCores});
+        cells.push_back(cpuAppCell(CpuConfig::BaseCmos, app.name));
+        cells.back().cpuDesign = d;
     }
-
-    return evaluateCells(
-        cells, pool, cache, opts.store,
-        [&](const PreparedCell<CpuConfigBundle> &cell, DsePoint *p) {
-            const CpuOutcome out =
-                runCpuBundle(cell.bundle, cell.name, app, opts.exp);
-            p->seconds = out.metrics.seconds;
-            p->energyJ = out.metrics.energyJ;
-        });
+    return runDesignCells(std::move(points), cells, opts);
 }
 
 std::vector<DsePoint>
 evaluateGpuDesigns(const std::vector<GpuHybridDesign> &designs,
                    const workload::KernelProfile &kernel,
-                   const DseOptions &opts, ThreadPool &pool,
-                   DseCache &cache)
+                   const DseOptions &opts)
 {
-    std::vector<PreparedCell<GpuConfigBundle>> cells;
-    cells.reserve(designs.size());
+    std::vector<DsePoint> points;
+    std::vector<SweepCell> cells;
     for (const GpuHybridDesign &d : designs) {
         // The GPU design point is half the CPU frequency.
         Result<GpuConfigBundle> bundle =
             synthesizeGpuBundle(d, opts.exp.freqGhz / 2.0);
         if (!bundle.ok())
             continue;
-        PreparedCell<GpuConfigBundle> cell;
-        cell.name = designName(d);
-        cell.hash = designHash(d);
-        cell.key = dseCacheKey(cell.hash, std::string("gpu:") +
-                               kernel.name, opts.exp);
-        cell.bundle = std::move(bundle.value());
-        cell.cores = cell.bundle.numCus;
-        cells.push_back(std::move(cell));
+        points.push_back({.name = designName(d),
+                          .hash = designHash(d),
+                          .cores = bundle.value().numCus});
+        cells.push_back(gpuKernelCell(GpuConfig::BaseCmos, kernel.name));
+        cells.back().gpuDesign = d;
     }
-
-    return evaluateCells(
-        cells, pool, cache, opts.store,
-        [&](const PreparedCell<GpuConfigBundle> &cell, DsePoint *p) {
-            const GpuOutcome out = runGpuBundle(cell.bundle,
-                                                cell.name, kernel,
-                                                opts.exp);
-            p->seconds = out.metrics.seconds;
-            p->energyJ = out.metrics.energyJ;
-        });
+    return runDesignCells(std::move(points), cells, opts);
 }
 
 namespace
@@ -836,35 +732,30 @@ cpuNeighbors(const CpuHybridDesign &d)
 } // namespace
 
 std::vector<DsePoint>
-greedyCpuSearch(const workload::AppProfile &app,
-                const DseOptions &opts, ThreadPool &pool,
-                DseCache &cache)
+greedyCpuSearch(const workload::AppProfile &app, const DseOptions &opts)
 {
     CpuHybridDesign incumbent; // Seeded from BaseCMOS.
     std::vector<DsePoint> footprint;
-    std::unordered_map<uint64_t, size_t> visited; // hash -> index
+    // Every design tried, by hash: its footprint index, or kNoPoint
+    // when it yielded none. Either way it is never evaluated again.
+    constexpr size_t kNoPoint = SIZE_MAX;
+    std::unordered_map<uint64_t, size_t> visited;
 
-    auto evaluate = [&](const std::vector<CpuHybridDesign> &batch)
-        -> std::vector<size_t> {
+    auto evaluate = [&](const std::vector<CpuHybridDesign> &batch) {
         std::vector<CpuHybridDesign> fresh;
         for (const CpuHybridDesign &d : batch)
-            if (!visited.count(designHash(d)))
+            if (visited.emplace(designHash(d), kNoPoint).second)
                 fresh.push_back(d);
-        const std::vector<DsePoint> pts =
-            evaluateCpuDesigns(fresh, app, opts, pool, cache);
-        std::vector<size_t> indices;
-        for (const DsePoint &p : pts) {
-            visited.emplace(p.hash, footprint.size());
-            indices.push_back(footprint.size());
-            footprint.push_back(p);
+        for (DsePoint &p : evaluateCpuDesigns(fresh, app, opts)) {
+            visited[p.hash] = footprint.size();
+            footprint.push_back(std::move(p));
         }
-        return indices;
     };
 
-    const std::vector<size_t> seed = evaluate({incumbent});
-    if (seed.empty())
-        return footprint; // Seed failed the area budget.
-    size_t best = seed.front();
+    evaluate({incumbent});
+    if (footprint.empty())
+        return footprint; // The seed yielded no point.
+    size_t best = 0;
 
     for (;;) {
         const std::vector<CpuHybridDesign> neighbors =
@@ -872,13 +763,12 @@ greedyCpuSearch(const workload::AppProfile &app,
         size_t round_best = best;
         CpuHybridDesign round_design = incumbent;
         // Visited neighbors re-resolve through `visited` so a cycle
-        // cannot loop; fresh ones evaluate in one parallel batch.
+        // cannot loop; fresh ones evaluate in one sweep.
         evaluate(neighbors);
         for (const CpuHybridDesign &n : neighbors) {
-            const auto it = visited.find(designHash(n));
-            if (it == visited.end())
-                continue; // Filtered by the area budget.
-            const size_t idx = it->second;
+            const size_t idx = visited.at(designHash(n));
+            if (idx == kNoPoint)
+                continue;
             if (footprint[idx].objective(opts.objective) <
                 footprint[round_best].objective(opts.objective)) {
                 round_best = idx;

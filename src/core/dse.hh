@@ -11,28 +11,26 @@
  * GpuConfigBundle the Table IV factory builds, and carries a
  * canonical name and a stable 64-bit hash.
  *
- * Evaluation fans (design x workload) cells out over a common
- * ThreadPool with a thread-safe memoization cache keyed by (design
- * hash, workload, ExperimentOptions). Each cell writes only its own
- * pre-allocated result slot, so the output is bit-identical for any
- * job count. Search strategies: exhaustive enumeration (optionally
- * filtered by an area budget) and a greedy unit-flip hill-climb for
- * spaces too large to enumerate. Pareto fronts are extracted over
- * (time, energy, area); ED^2 is monotone in (time, energy), so the
- * front is also ED^2-complete.
+ * Each evaluation is one runSweep() call: every admitted design is a
+ * sweep cell (SweepCell::cpuDesign / gpuDesign), forked and
+ * watchdogged like any other, and results land in plan order, so the
+ * output is bit-identical for any job count. The ResultStore, when
+ * given, is the exploration's only memo: the sweep journal keyed by
+ * cellStoreKey(). Search strategies: exhaustive enumeration
+ * (optionally filtered by an area budget) and a greedy unit-flip
+ * hill-climb for spaces too large to enumerate. Pareto fronts are
+ * extracted over (time, energy, area); ED^2 is monotone in (time,
+ * energy), so the front is also ED^2-complete.
  */
 
 #ifndef HETSIM_CORE_DSE_HH
 #define HETSIM_CORE_DSE_HH
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.hh"
-#include "common/thread_pool.hh"
 #include "core/experiment.hh"
 #include "core/result_store.hh"
 
@@ -102,7 +100,8 @@ struct GpuHybridDesign
 std::string designName(const CpuHybridDesign &d);
 std::string designName(const GpuHybridDesign &d);
 
-/** Stable 64-bit FNV-1a hash of the canonical encoding (memo key). */
+/** Stable 64-bit FNV-1a hash of the canonical encoding (the
+ *  report's design identity). */
 uint64_t designHash(const CpuHybridDesign &d);
 uint64_t designHash(const GpuHybridDesign &d);
 
@@ -165,85 +164,54 @@ struct DsePoint
     double energyJ = 0.0;
     double areaMm2 = 0.0; ///< Chip area (0 for GPU designs).
     uint32_t cores = 0;   ///< Cores (CPU) or CUs (GPU).
-    bool cached = false;  ///< Served from the memo cache.
 
     double ed2() const { return energyJ * seconds * seconds; }
     double objective(DseObjective o) const;
 };
 
-/**
- * Thread-safe memoization cache for evaluated cells, keyed by
- * (design hash, workload name, ExperimentOptions). Shared across
- * search passes so a repeated run reports hits instead of
- * re-simulating.
- */
-class DseCache
-{
-  public:
-    bool lookup(const std::string &key, DsePoint *out);
-    void insert(const std::string &key, const DsePoint &point);
-
-    uint64_t hits() const;
-    uint64_t misses() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::unordered_map<std::string, DsePoint> map_;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
-};
-
-/** Memo and store key of one (design, workload, options) cell: the
- *  DSE payload tag plus runKey("dse", hex design hash, ...). */
-std::string dseCacheKey(uint64_t design_hash,
-                        const std::string &workload,
-                        const ExperimentOptions &opts);
-
 /** Exploration knobs shared by both search strategies. */
 struct DseOptions
 {
     ExperimentOptions exp;
-    unsigned jobs = 1;          ///< Thread-pool width.
+    unsigned jobs = 1;          ///< Forked cells in flight at once.
     double areaBudgetMm2 = 0.0; ///< Skip designs above this (0=off).
     DseObjective objective = DseObjective::Ed2;
-    /** Durable second cache tier behind the in-memory memo
-     *  (optional, not owned): memo misses consult the store before
-     *  simulating, and fresh simulations are journaled back, so a
-     *  repeated exploration in a *new process* is warm. Verified,
+    /** The exploration's memo (optional, not owned): cells are
+     *  journaled to it and replayed from it, so a repeated
+     *  exploration, in this process or a new one, is warm. Verified,
      *  checksummed reads only — see core/result_store. */
     ResultStore *store = nullptr;
 };
 
 /**
- * Evaluate every design on one CPU application, fanning cells out
- * over `pool` and memoizing through `cache`. Results are in design
- * order and bit-identical for any job count. Designs that fail the
- * area budget or fail to synthesize are skipped (absent from the
- * result).
+ * Evaluate every design on one registered CPU application through
+ * runSweep. Results are in design order and bit-identical for any job
+ * count. Designs that fail the area budget or fail to synthesize are
+ * skipped (absent from the result); so are designs whose run failed
+ * or was cut short by the cycle watchdog, with a warning naming the
+ * design and its outcome.
  */
 std::vector<DsePoint>
 evaluateCpuDesigns(const std::vector<CpuHybridDesign> &designs,
                    const workload::AppProfile &app,
-                   const DseOptions &opts, ThreadPool &pool,
-                   DseCache &cache);
+                   const DseOptions &opts);
 
 std::vector<DsePoint>
 evaluateGpuDesigns(const std::vector<GpuHybridDesign> &designs,
                    const workload::KernelProfile &kernel,
-                   const DseOptions &opts, ThreadPool &pool,
-                   DseCache &cache);
+                   const DseOptions &opts);
 
 /**
  * Greedy unit-flip hill-climb seeded from the all-CMOS design: each
- * round evaluates every single-axis neighbor of the incumbent (in
- * parallel) and moves to the best improvement under opts.objective,
- * stopping at a local optimum. Returns every point evaluated along
- * the way (the climb's footprint), best first. Deterministic:
- * neighbor order and tie-breaks are fixed.
+ * round evaluates every single-axis neighbor of the incumbent not
+ * tried before (in one sweep) and moves to the best improvement under
+ * opts.objective, stopping at a local optimum. A design that yields no
+ * point (area budget, failed or truncated run) is tried once. Returns
+ * every point evaluated along the way (the climb's footprint), best
+ * first. Deterministic: neighbor order and tie-breaks are fixed.
  */
 std::vector<DsePoint>
-greedyCpuSearch(const workload::AppProfile &app, const DseOptions &opts,
-                ThreadPool &pool, DseCache &cache);
+greedyCpuSearch(const workload::AppProfile &app, const DseOptions &opts);
 
 /**
  * Indices of the Pareto-optimal points over (seconds, energyJ,
@@ -256,12 +224,11 @@ std::vector<size_t> paretoFront(const std::vector<DsePoint> &points,
 
 /**
  * Evaluated points as a deterministic JSON document
- * ("hetsim-dse-report-v1"). The memo-cache `cached` flag is excluded
- * on purpose: it depends on thread timing, while the document must be
- * byte-identical for any job count (diffing a jobs=1 report against a
- * jobs=8 report is the determinism smoke test). Store provenance is
- * excluded for the same reason: a warm-store rerun must produce the
- * same bytes as a cold run.
+ * ("hetsim-dse-report-v1"). Store provenance is excluded on purpose:
+ * the document must be byte-identical for any job count (diffing a
+ * jobs=1 report against a jobs=8 report is the determinism smoke
+ * test), and a warm-store rerun must produce the same bytes as a cold
+ * run.
  */
 std::string dseReportToJson(const std::vector<DsePoint> &points,
                             const std::string &workload,

@@ -55,14 +55,14 @@ struct ExperimentOptions
 };
 
 /**
- * Identity of one run: what ran (`kind`: "cpu", "gpu", "trace",
- * "dse"), on which configuration, with which workload, plus every
- * option that can change a simulated result, doubles rendered
- * bit-exactly. The checkpoint cadence is part of it: a drain pauses
- * fetch, so runs with different cadences report different (equally
- * valid) cycle counts. Store entries, checkpoints and the DSE memo
- * are keyed by a payload tag plus this string; it is the only place
- * that lists the identity fields.
+ * Identity of one run: what ran (`kind`: "cpu", "gpu", "trace"), on
+ * which configuration (a Table IV name or a free-form design's
+ * canonical name), with which workload, plus every option that can
+ * change a simulated result, doubles rendered bit-exactly. The
+ * checkpoint cadence is part of it: a drain pauses fetch, so runs with
+ * different cadences report different (equally valid) cycle counts.
+ * Store entries and checkpoints are keyed by a payload tag plus this
+ * string; it is the only place that lists the identity fields.
  */
 std::string runKey(const std::string &kind, const std::string &config,
                    const std::string &workload,
@@ -118,10 +118,11 @@ GpuOutcome runGpuExperiment(GpuConfig cfg,
                             obs::TraceBuffer *trace = nullptr);
 
 /**
- * Simulate an already-built CPU bundle (the dse path: synthesized
- * free-form designs have no CpuConfig enum value). `config_name` is
- * carried into the outcome; opts.freqGhz must match the frequency the
- * bundle was built at (it selects the operating-point voltages).
+ * Simulate an already-built CPU bundle (the design-cell path:
+ * synthesized free-form designs have no CpuConfig enum value).
+ * `config_name` is carried into the outcome; opts.freqGhz must match
+ * the frequency the bundle was built at (it selects the
+ * operating-point voltages).
  */
 CpuOutcome runCpuBundle(const CpuConfigBundle &bundle,
                         const std::string &config_name,

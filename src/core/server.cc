@@ -211,9 +211,6 @@ BatchServer::start()
         store_.emplace(std::move(store.value()));
     }
 
-    pool_ = std::make_unique<ThreadPool>(opts_.jobs);
-    dseCache_ = std::make_unique<DseCache>();
-
     // Self-pipe: requestDrain writes one byte; poll in serve() wakes.
     int pipe_fds[2];
     if (::pipe(pipe_fds) != 0)
@@ -622,12 +619,10 @@ BatchServer::dseJob(const ServerJob &job)
         if (!app.ok())
             return errorDoc(job.id, app.status());
         if (strategy == "greedy")
-            points = greedyCpuSearch(*app.value(), opts, *pool_,
-                                     *dseCache_);
+            points = greedyCpuSearch(*app.value(), opts);
         else if (strategy == "exhaustive")
             points = evaluateCpuDesigns(enumerateCpuDesigns(),
-                                        *app.value(), opts, *pool_,
-                                        *dseCache_);
+                                        *app.value(), opts);
         else
             return errorDoc(job.id, ErrorCode::InvalidArgument,
                             "unknown dse strategy \"" + strategy +
@@ -638,8 +633,7 @@ BatchServer::dseJob(const ServerJob &job)
         if (!kernel.ok())
             return errorDoc(job.id, kernel.status());
         points = evaluateGpuDesigns(enumerateGpuDesigns(),
-                                    *kernel.value(), opts, *pool_,
-                                    *dseCache_);
+                                    *kernel.value(), opts);
     } else {
         return errorDoc(job.id, ErrorCode::InvalidArgument,
                         "unknown dse space \"" + space +

@@ -17,8 +17,8 @@
  * --report-json, so a served job's bytes equal a local run's bytes.
  *
  * Robustness model:
- *  - Every run/gpu/sweep cell executes through the fork-isolated
- *    sweep runner: a crashing or hung job costs that cell, never the
+ *  - Every cell, DSE designs included, executes through the
+ *    fork-isolated sweep runner: a crashing or hung job costs that cell, never the
  *    daemon. Transient failures retry with exponential backoff.
  *  - A shared ResultStore memoizes every cell durably; repeat jobs
  *    are served from verified, checksummed disk entries.
@@ -32,11 +32,10 @@
  *  - The socket and the singleton lock file are RAII FdHandles; the
  *    lock (flock) refuses a second server on the same socket path.
  *
- * The server is single-threaded by design: the accept loop and job
- * execution interleave in one event loop (the listen backlog buffers
- * clients while a job runs), so the fork-isolated sweep workers
- * never fork from a multi-threaded process. DSE jobs fan out over
- * the server's ThreadPool, which is quiescent at fork time.
+ * The server is single-threaded: the accept loop and job execution
+ * interleave in one event loop (the listen backlog buffers clients
+ * while a job runs), so every cell process is forked from a
+ * single-threaded process.
  */
 
 #ifndef HETSIM_CORE_SERVER_HH
@@ -44,7 +43,6 @@
 
 #include <csignal>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,7 +51,6 @@
 #include "common/json.hh"
 #include "common/report.hh"
 #include "common/status.hh"
-#include "common/thread_pool.hh"
 #include "core/result_store.hh"
 
 namespace hetsim::core
@@ -71,7 +68,7 @@ struct ServeOptions
 {
     std::string socketPath;   ///< Unix-domain socket to listen on.
     std::string storeDir;     ///< Durable result store ("" = none).
-    unsigned jobs = 1;        ///< DSE thread-pool width.
+    unsigned jobs = 1;        ///< DSE cells in flight at once.
     double wallLimitMs = 0.0; ///< Per-cell wall-clock watchdog.
     uint64_t watchdogCycles = 0; ///< Per-cell cycle watchdog.
     uint32_t maxRetries = 1;  ///< Transient-failure retries per cell.
@@ -207,8 +204,6 @@ class BatchServer
     FdHandle drainRead_;
     FdHandle drainWrite_;
     std::optional<ResultStore> store_;
-    std::unique_ptr<ThreadPool> pool_; ///< DSE fan-out.
-    std::unique_ptr<class DseCache> dseCache_;
     JobQueue queue_;
     std::vector<PendingConn> pending_;
     ServerCounters counters_;

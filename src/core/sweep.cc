@@ -131,6 +131,39 @@ markPreempted(CellResult *res, const char *what)
     res->preempted = true;
 }
 
+/** The result of a run that finished or stopped: Ok, TimedOut when
+ *  the cycle watchdog cut it short, or preempted at a checkpoint. */
+CellResult
+runResult(bool preempted, bool timed_out, uint64_t cycles, uint64_t ops,
+          double seconds, double energy_j)
+{
+    CellResult res;
+    res.cycles = cycles;
+    if (preempted) {
+        markPreempted(&res, "preempted at a mid-run checkpoint");
+        return res;
+    }
+    res.outcome = timed_out ? CellOutcome::TimedOut : CellOutcome::Ok;
+    if (timed_out)
+        res.status = Status::error(
+            ErrorCode::Timeout, "cycle watchdog fired at %llu cycles",
+            static_cast<unsigned long long>(cycles));
+    res.ops = ops;
+    res.seconds = seconds;
+    res.energyJ = energy_j;
+    return res;
+}
+
+/** The bundle a CPU cell simulates: its free-form design, else its
+ *  Table IV configuration. */
+Result<CpuConfigBundle>
+cellCpuBundle(const SweepCell &cell, const ExperimentOptions &exp)
+{
+    if (cell.cpuDesign)
+        return synthesizeCpuBundle(*cell.cpuDesign, exp.freqGhz);
+    return makeCpuConfig(cell.cpuCfg, exp.freqGhz);
+}
+
 /** Execute one cell in this process. Input errors come back as a
  *  Failed result; internal invariants still panic (isolation turns
  *  that into a contained child death). */
@@ -152,42 +185,27 @@ runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
       case SweepCell::Kind::CpuApp:
       {
         const auto app = workload::findCpuApp(cell.workload);
-        if (!app.ok()) {
-            res.status = app.status();
+        Result<CpuConfigBundle> bundle = cellCpuBundle(cell, exp);
+        if (!app.ok() || !bundle.ok()) {
+            res.status = app.ok() ? bundle.status() : app.status();
             return res;
         }
-        const CpuOutcome out =
-            runCpuExperiment(cell.cpuCfg, *app.value(), exp);
-        if (out.preempted) {
-            markPreempted(&res,
-                          "preempted at a mid-run checkpoint");
-            res.cycles = out.cycles;
-            return res;
-        }
-        res.outcome = out.timedOut ? CellOutcome::TimedOut
-                                   : CellOutcome::Ok;
-        if (out.timedOut)
-            res.status = Status::error(
-                ErrorCode::Timeout,
-                "cycle watchdog fired at %llu cycles",
-                static_cast<unsigned long long>(out.cycles));
-        res.cycles = out.cycles;
-        res.ops = out.committedOps;
-        res.seconds = out.metrics.seconds;
-        res.energyJ = out.metrics.energyJ;
-        return res;
+        const CpuOutcome out = runCpuBundle(
+            bundle.value(), cellConfigName(cell), *app.value(), exp);
+        return runResult(out.preempted, out.timedOut, out.cycles,
+                         out.committedOps, out.metrics.seconds,
+                         out.metrics.energyJ);
       }
 
       case SweepCell::Kind::CpuTrace:
       {
         auto trace = workload::FileTrace::open(cell.workload);
-        if (!trace.ok()) {
-            res.status = trace.status();
+        Result<CpuConfigBundle> bundle = cellCpuBundle(cell, exp);
+        if (!trace.ok() || !bundle.ok()) {
+            res.status = trace.ok() ? bundle.status() : trace.status();
             return res;
         }
-        CpuConfigBundle bundle =
-            makeCpuConfig(cell.cpuCfg, exp.freqGhz);
-        cpu::MulticoreParams sim = bundle.sim;
+        cpu::MulticoreParams sim = bundle.value().sim;
         sim.mem.numCores = 1;
         sim.watchdogCycles = exp.watchdogCycles;
         cpu::Multicore mc(sim, {trace.value().get()});
@@ -196,46 +214,26 @@ runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
             res.status = trace.value()->status();
             return res;
         }
-        res.outcome = run.timedOut ? CellOutcome::TimedOut
-                                   : CellOutcome::Ok;
-        if (run.timedOut)
-            res.status = Status::error(
-                ErrorCode::Timeout,
-                "cycle watchdog fired at %llu cycles",
-                static_cast<unsigned long long>(run.cycles));
-        res.cycles = run.cycles;
-        res.ops = run.committedOps;
-        res.seconds = run.seconds;
-        return res;
+        return runResult(run.preempted, run.timedOut, run.cycles,
+                         run.committedOps, run.seconds, 0.0);
       }
 
       case SweepCell::Kind::GpuKernel:
       {
+        // The GPU design point is half the CPU frequency.
         const auto kernel = workload::findGpuKernel(cell.workload);
-        if (!kernel.ok()) {
-            res.status = kernel.status();
+        Result<GpuConfigBundle> bundle = cell.gpuDesign
+            ? synthesizeGpuBundle(*cell.gpuDesign, exp.freqGhz / 2.0)
+            : makeGpuConfig(cell.gpuCfg, exp.freqGhz / 2.0);
+        if (!kernel.ok() || !bundle.ok()) {
+            res.status = kernel.ok() ? bundle.status() : kernel.status();
             return res;
         }
-        const GpuOutcome out =
-            runGpuExperiment(cell.gpuCfg, *kernel.value(), exp);
-        if (out.preempted) {
-            markPreempted(&res,
-                          "preempted at a mid-run checkpoint");
-            res.cycles = out.cycles;
-            return res;
-        }
-        res.outcome = out.timedOut ? CellOutcome::TimedOut
-                                   : CellOutcome::Ok;
-        if (out.timedOut)
-            res.status = Status::error(
-                ErrorCode::Timeout,
-                "cycle watchdog fired at %llu cycles",
-                static_cast<unsigned long long>(out.cycles));
-        res.cycles = out.cycles;
-        res.ops = out.issuedOps;
-        res.seconds = out.metrics.seconds;
-        res.energyJ = out.metrics.energyJ;
-        return res;
+        const GpuOutcome out = runGpuBundle(
+            bundle.value(), cellConfigName(cell), *kernel.value(), exp);
+        return runResult(out.preempted, out.timedOut, out.cycles,
+                         out.issuedOps, out.metrics.seconds,
+                         out.metrics.energyJ);
       }
     }
     res.status = Status::error(ErrorCode::Internal,
@@ -636,9 +634,11 @@ cellStoreKey(const SweepCell &cell, const SweepOptions &opts)
 std::string
 cellConfigName(const SweepCell &cell)
 {
-    return cell.kind == SweepCell::Kind::GpuKernel
-        ? gpuConfigName(cell.gpuCfg)
-        : cpuConfigName(cell.cpuCfg);
+    if (cell.kind == SweepCell::Kind::GpuKernel)
+        return cell.gpuDesign ? designName(*cell.gpuDesign)
+                              : gpuConfigName(cell.gpuCfg);
+    return cell.cpuDesign ? designName(*cell.cpuDesign)
+                          : cpuConfigName(cell.cpuCfg);
 }
 
 std::string

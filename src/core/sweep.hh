@@ -32,10 +32,12 @@
 #ifndef HETSIM_CORE_SWEEP_HH
 #define HETSIM_CORE_SWEEP_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.hh"
+#include "core/dse.hh"
 #include "core/experiment.hh"
 #include "core/result_store.hh"
 
@@ -70,6 +72,13 @@ struct SweepCell
     double scaleOverride = 0.0;
     /** Per-cell cycle watchdog (~0 = inherit the sweep's). */
     uint64_t watchdogCycles = ~0ull;
+    /** Free-form design simulated instead of cpuCfg (CpuApp cells)
+     *  or gpuCfg (GpuKernel cells): the design-space exploration's
+     *  cells. Part of the cell's identity; its designName() is the
+     *  cell's configuration name. @{ */
+    std::optional<CpuHybridDesign> cpuDesign;
+    std::optional<GpuHybridDesign> gpuDesign;
+    /** @} */
 };
 
 /** Cell constructors (kept free so plans read declaratively). */

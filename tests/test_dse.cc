@@ -2,21 +2,23 @@
  * @file
  * Unit tests for the design-space exploration subsystem: hybrid-design
  * naming/hashing, Table IV equivalence of synthesized bundles,
- * config-name round trips, enumeration, memoized thread-pool
- * evaluation (bit-identical across job counts), greedy search, and
- * Pareto-front extraction.
+ * config-name round trips, enumeration, evaluation through the sweep
+ * executor (bit-identical across job counts, memoized by the result
+ * store, truncated runs never ranked), greedy search, and Pareto-front
+ * extraction.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hh"
 #include "core/configs.hh"
 #include "core/dse.hh"
+#include "core/result_store.hh"
 #include "workload/cpu_profiles.hh"
 #include "workload/gpu_profiles.hh"
 
@@ -303,27 +305,55 @@ TEST(Enumeration, GpuSpaceHas17Points)
         EXPECT_TRUE(synthesizeGpuBundle(d).ok()) << designName(d);
 }
 
-TEST(DseCacheKey, DistinguishesOptionsAndWorkload)
+namespace
 {
-    ExperimentOptions a, b;
-    b.scale = 0.5;
-    EXPECT_NE(dseCacheKey(1, "cpu:fft", a), dseCacheKey(1, "cpu:fft", b));
-    EXPECT_NE(dseCacheKey(1, "cpu:fft", a), dseCacheKey(2, "cpu:fft", a));
-    EXPECT_NE(dseCacheKey(1, "cpu:fft", a), dseCacheKey(1, "cpu:fmm", a));
-    EXPECT_EQ(dseCacheKey(1, "cpu:fft", a), dseCacheKey(1, "cpu:fft", a));
 
-    // Doubles are keyed exactly: values that agree to nine
-    // significant digits are still different cells.
-    ExperimentOptions c = a, d = a;
-    c.scale = 0.1;
-    d.scale = 0.1000000001;
-    EXPECT_NE(dseCacheKey(1, "cpu:fft", c), dseCacheKey(1, "cpu:fft", d));
-    c = a;
-    d = a;
-    c.freqGhz = 2.0;
-    d.freqGhz = 2.0000000001;
-    EXPECT_NE(dseCacheKey(1, "cpu:fft", c), dseCacheKey(1, "cpu:fft", d));
+/** A fresh result store in a temp directory, removed with the
+ *  object. */
+class TempStore
+{
+  public:
+    TempStore()
+    {
+        char tmpl[] = "/tmp/hetsim_dse_store_XXXXXX";
+        EXPECT_NE(::mkdtemp(tmpl), nullptr);
+        dir_ = tmpl;
+    }
+    ~TempStore()
+    {
+        const std::string cmd = "rm -rf " + dir_;
+        [[maybe_unused]] int rc = std::system(cmd.c_str());
+    }
+
+    /** A new ResultStore over the directory (a new process's view). */
+    ResultStore
+    open() const
+    {
+        Result<ResultStore> store = ResultStore::open(dir_);
+        EXPECT_TRUE(store.ok()) << store.status().toString();
+        return std::move(store.value());
+    }
+
+  private:
+    std::string dir_;
+};
+
+void
+expectSamePoints(const std::vector<DsePoint> &a,
+                 const std::vector<DsePoint> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].name, b[i].name);
+        EXPECT_EQ(a[i].hash, b[i].hash);
+        EXPECT_EQ(a[i].seconds, b[i].seconds); // Exact.
+        EXPECT_EQ(a[i].energyJ, b[i].energyJ); // Exact.
+        EXPECT_EQ(a[i].areaMm2, b[i].areaMm2);
+        EXPECT_EQ(a[i].cores, b[i].cores);
+    }
 }
+
+} // namespace
 
 TEST(Evaluate, ResultsAreBitIdenticalAcrossJobCounts)
 {
@@ -336,30 +366,16 @@ TEST(Evaluate, ResultsAreBitIdenticalAcrossJobCounts)
 
     DseOptions opts;
     opts.exp.scale = 0.01;
+    const auto serial = evaluateCpuDesigns(designs, *app.value(), opts);
+    opts.jobs = 8;
+    const auto parallel =
+        evaluateCpuDesigns(designs, *app.value(), opts);
 
-    ThreadPool serial_pool(1);
-    DseCache serial_cache;
-    const auto serial = evaluateCpuDesigns(designs, *app.value(), opts,
-                                           serial_pool, serial_cache);
-
-    ThreadPool wide_pool(8);
-    DseCache wide_cache;
-    const auto parallel = evaluateCpuDesigns(designs, *app.value(),
-                                             opts, wide_pool,
-                                             wide_cache);
-
-    ASSERT_EQ(serial.size(), parallel.size());
     ASSERT_EQ(serial.size(), designs.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].name, parallel[i].name);
-        EXPECT_EQ(serial[i].hash, parallel[i].hash);
-        EXPECT_EQ(serial[i].seconds, parallel[i].seconds);   // Exact.
-        EXPECT_EQ(serial[i].energyJ, parallel[i].energyJ);   // Exact.
-        EXPECT_EQ(serial[i].areaMm2, parallel[i].areaMm2);
-    }
+    expectSamePoints(serial, parallel);
 }
 
-TEST(Evaluate, SecondPassIsServedFromTheCache)
+TEST(Evaluate, SecondPassIsServedFromTheStore)
 {
     const auto app = workload::findCpuApp("lu");
     ASSERT_TRUE(app.ok());
@@ -367,90 +383,64 @@ TEST(Evaluate, SecondPassIsServedFromTheCache)
     auto designs = enumerateCpuDesigns();
     designs.resize(6);
 
+    TempStore dir;
+    ResultStore store = dir.open();
     DseOptions opts;
     opts.exp.scale = 0.01;
-    ThreadPool pool(4);
-    DseCache cache;
+    opts.jobs = 4;
+    opts.store = &store;
 
-    const auto first =
-        evaluateCpuDesigns(designs, *app.value(), opts, pool, cache);
-    EXPECT_EQ(cache.misses(), designs.size());
-    EXPECT_EQ(cache.hits(), 0u);
-    for (const auto &p : first)
-        EXPECT_FALSE(p.cached);
+    const auto first = evaluateCpuDesigns(designs, *app.value(), opts);
+    EXPECT_EQ(store.counters().misses, designs.size());
+    EXPECT_EQ(store.counters().hits, 0u);
+    EXPECT_EQ(store.counters().puts, designs.size());
 
-    const auto second =
-        evaluateCpuDesigns(designs, *app.value(), opts, pool, cache);
-    EXPECT_EQ(cache.misses(), designs.size()); // No new simulations.
-    EXPECT_EQ(cache.hits(), designs.size());
-    ASSERT_EQ(second.size(), first.size());
-    for (size_t i = 0; i < second.size(); ++i) {
-        EXPECT_TRUE(second[i].cached);
-        EXPECT_EQ(second[i].seconds, first[i].seconds);
-        EXPECT_EQ(second[i].energyJ, first[i].energyJ);
-    }
+    // Every cell of the second pass is a verified store hit.
+    const auto second = evaluateCpuDesigns(designs, *app.value(), opts);
+    EXPECT_EQ(store.counters().hits, designs.size());
+    EXPECT_EQ(store.counters().misses, designs.size());
+    EXPECT_EQ(store.counters().puts, designs.size()); // No new puts.
+    ASSERT_EQ(first.size(), designs.size());
+    expectSamePoints(first, second);
 
     // Different options miss again: the key includes them.
     DseOptions other = opts;
     other.exp.seed = 99;
-    evaluateCpuDesigns(designs, *app.value(), other, pool, cache);
-    EXPECT_EQ(cache.misses(), 2 * designs.size());
+    evaluateCpuDesigns(designs, *app.value(), other);
+    EXPECT_EQ(store.counters().misses, 2 * designs.size());
 }
 
 /**
- * The durable tier: a repeated exploration in a new process (fresh
- * memo, same store directory) is served entirely from the store, bit
- * for bit. Four pool threads write and read envelopes concurrently.
+ * A repeated exploration in a new process (a new ResultStore over the
+ * same directory) is served entirely from the store, bit for bit.
  */
-TEST(Evaluate, FreshCacheIsServedFromTheDurableStore)
+TEST(Evaluate, NewProcessIsServedFromTheDurableStore)
 {
     const auto app = workload::findCpuApp("fft");
     ASSERT_TRUE(app.ok());
     auto designs = enumerateCpuDesigns();
     designs.resize(16);
 
-    char tmpl[] = "/tmp/hetsim_dse_store_XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    const std::string dir = tmpl;
-
+    TempStore dir;
     DseOptions opts;
     opts.exp.scale = 0.01;
     opts.jobs = 4;
-    ThreadPool pool(opts.jobs);
 
-    Result<ResultStore> cold_store = ResultStore::open(dir);
-    ASSERT_TRUE(cold_store.ok()) << cold_store.status().toString();
-    opts.store = &cold_store.value();
-    DseCache cold_cache;
-    const auto cold = evaluateCpuDesigns(designs, *app.value(), opts,
-                                         pool, cold_cache);
+    ResultStore cold_store = dir.open();
+    opts.store = &cold_store;
+    const auto cold = evaluateCpuDesigns(designs, *app.value(), opts);
     ASSERT_EQ(cold.size(), designs.size());
-    EXPECT_EQ(cold_store.value().counters().puts, designs.size());
+    EXPECT_EQ(cold_store.counters().puts, designs.size());
 
-    Result<ResultStore> warm_store = ResultStore::open(dir);
-    ASSERT_TRUE(warm_store.ok()) << warm_store.status().toString();
-    opts.store = &warm_store.value();
-    DseCache warm_cache;
-    const auto warm = evaluateCpuDesigns(designs, *app.value(), opts,
-                                         pool, warm_cache);
-    const ResultStore::Counters c = warm_store.value().counters();
+    ResultStore warm_store = dir.open();
+    opts.store = &warm_store;
+    const auto warm = evaluateCpuDesigns(designs, *app.value(), opts);
+    const ResultStore::Counters c = warm_store.counters();
     EXPECT_EQ(c.hits, designs.size());
     EXPECT_EQ(c.misses, 0u);
     EXPECT_EQ(c.puts, 0u);
     EXPECT_EQ(c.quarantined, 0u);
-
-    ASSERT_EQ(warm.size(), cold.size());
-    for (size_t i = 0; i < warm.size(); ++i) {
-        EXPECT_EQ(warm[i].name, cold[i].name);
-        EXPECT_EQ(warm[i].hash, cold[i].hash);
-        EXPECT_EQ(warm[i].seconds, cold[i].seconds); // Exact.
-        EXPECT_EQ(warm[i].energyJ, cold[i].energyJ); // Exact.
-        EXPECT_EQ(warm[i].areaMm2, cold[i].areaMm2);
-        EXPECT_EQ(warm[i].cores, cold[i].cores);
-    }
-
-    const std::string cmd = "rm -rf " + dir;
-    [[maybe_unused]] int rc = std::system(cmd.c_str());
+    expectSamePoints(warm, cold);
 }
 
 TEST(Evaluate, AreaBudgetFiltersDesigns)
@@ -463,11 +453,9 @@ TEST(Evaluate, AreaBudgetFiltersDesigns)
 
     DseOptions opts;
     opts.exp.scale = 0.01;
-    ThreadPool pool(2);
+    opts.jobs = 2;
 
-    DseCache unfiltered_cache;
-    const auto all = evaluateCpuDesigns(designs, *app.value(), opts,
-                                        pool, unfiltered_cache);
+    const auto all = evaluateCpuDesigns(designs, *app.value(), opts);
     ASSERT_FALSE(all.empty());
     double min_area = all[0].areaMm2, max_area = all[0].areaMm2;
     for (const auto &p : all) {
@@ -476,21 +464,21 @@ TEST(Evaluate, AreaBudgetFiltersDesigns)
     }
 
     // A budget below every design admits nothing (and simulates
-    // nothing: admission happens before the thread-pool fan-out).
+    // nothing: admission happens before the sweep).
+    TempStore dir;
+    ResultStore store = dir.open();
     DseOptions tight = opts;
     tight.areaBudgetMm2 = min_area * 0.5;
-    DseCache tight_cache;
-    const auto none = evaluateCpuDesigns(designs, *app.value(), tight,
-                                         pool, tight_cache);
+    tight.store = &store;
+    const auto none = evaluateCpuDesigns(designs, *app.value(), tight);
     EXPECT_TRUE(none.empty());
-    EXPECT_EQ(tight_cache.misses(), 0u);
+    EXPECT_EQ(store.counters().misses, 0u);
+    EXPECT_EQ(store.counters().puts, 0u);
 
     // A budget above every design admits all of them.
     DseOptions loose = opts;
     loose.areaBudgetMm2 = max_area * 2.0;
-    DseCache loose_cache;
-    const auto kept = evaluateCpuDesigns(designs, *app.value(), loose,
-                                         pool, loose_cache);
+    const auto kept = evaluateCpuDesigns(designs, *app.value(), loose);
     EXPECT_EQ(kept.size(), all.size());
 }
 
@@ -502,23 +490,39 @@ TEST(Evaluate, GpuDesignsEvaluateDeterministically)
     const auto designs = enumerateGpuDesigns();
     DseOptions opts;
     opts.exp.scale = 0.02;
-
-    ThreadPool serial_pool(1);
-    DseCache c1;
-    const auto serial = evaluateGpuDesigns(designs, *kernel.value(),
-                                           opts, serial_pool, c1);
-
-    ThreadPool wide_pool(8);
-    DseCache c2;
-    const auto parallel = evaluateGpuDesigns(designs, *kernel.value(),
-                                             opts, wide_pool, c2);
+    const auto serial =
+        evaluateGpuDesigns(designs, *kernel.value(), opts);
+    opts.jobs = 8;
+    const auto parallel =
+        evaluateGpuDesigns(designs, *kernel.value(), opts);
 
     ASSERT_EQ(serial.size(), designs.size());
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].seconds, parallel[i].seconds);
-        EXPECT_EQ(serial[i].energyJ, parallel[i].energyJ);
-    }
+    expectSamePoints(serial, parallel);
+}
+
+/**
+ * A run the cycle watchdog cut short reports a fraction of the work's
+ * time and energy. Ranking it would put a truncated run on the front,
+ * so it yields no point at all.
+ */
+TEST(Evaluate, WatchdogTruncatedRunsAreNotRanked)
+{
+    const auto app = workload::findCpuApp("fft");
+    ASSERT_TRUE(app.ok());
+    auto designs = enumerateCpuDesigns();
+    designs.resize(4);
+
+    DseOptions opts;
+    opts.exp.scale = 0.05;
+    opts.exp.watchdogCycles = 2000;
+    EXPECT_TRUE(evaluateCpuDesigns(designs, *app.value(), opts).empty());
+
+    const auto kernel = workload::findGpuKernel("matrixmul");
+    ASSERT_TRUE(kernel.ok());
+    opts.exp.watchdogCycles = 100;
+    EXPECT_TRUE(
+        evaluateGpuDesigns(enumerateGpuDesigns(), *kernel.value(), opts)
+            .empty());
 }
 
 TEST(Greedy, FindsALocalOptimumDeterministically)
@@ -528,19 +532,12 @@ TEST(Greedy, FindsALocalOptimumDeterministically)
 
     DseOptions opts;
     opts.exp.scale = 0.01;
-    ThreadPool pool(4);
+    opts.jobs = 4;
 
-    DseCache c1;
-    const auto climb1 = greedyCpuSearch(*app.value(), opts, pool, c1);
+    const auto climb1 = greedyCpuSearch(*app.value(), opts);
     ASSERT_FALSE(climb1.empty());
-
-    DseCache c2;
-    const auto climb2 = greedyCpuSearch(*app.value(), opts, pool, c2);
-    ASSERT_EQ(climb1.size(), climb2.size());
-    for (size_t i = 0; i < climb1.size(); ++i) {
-        EXPECT_EQ(climb1[i].name, climb2[i].name);
-        EXPECT_EQ(climb1[i].seconds, climb2[i].seconds);
-    }
+    const auto climb2 = greedyCpuSearch(*app.value(), opts);
+    expectSamePoints(climb1, climb2);
 
     // Footprint is sorted best-objective-first, and the winner is at
     // least as good as the all-CMOS seed it started from.
@@ -558,6 +555,58 @@ TEST(Greedy, FindsALocalOptimumDeterministically)
     }
     ASSERT_TRUE(seed_seen);
     EXPECT_LE(climb1.front().objective(opts.objective), seed_obj);
+}
+
+/**
+ * Under a cycle watchdog that the all-CMOS seed (5862 cycles on fft at
+ * scale 0.01) beats and slower designs do not, the climb ranks only
+ * complete runs, and tries each design once: a design it skipped is
+ * not re-run in a later round.
+ */
+TEST(Greedy, SkipsTruncatedDesignsAndTriesEachOnce)
+{
+    const auto app = workload::findCpuApp("fft");
+    ASSERT_TRUE(app.ok());
+
+    TempStore dir;
+    ResultStore store = dir.open();
+    DseOptions opts;
+    opts.exp.scale = 0.01;
+    opts.exp.watchdogCycles = 6000;
+    opts.jobs = 4;
+    opts.store = &store;
+    const auto climb = greedyCpuSearch(*app.value(), opts);
+    ASSERT_FALSE(climb.empty());
+
+    // Every design was simulated once and journaled, truncated or
+    // not; none was looked up again.
+    const ResultStore::Counters c = store.counters();
+    EXPECT_EQ(c.hits, 0u);
+    EXPECT_EQ(c.puts, c.misses);
+    EXPECT_GT(c.misses, climb.size()); // Some designs were skipped.
+
+    // Each ranked point finished before the watchdog; those inside
+    // the enumerated space are their designs' complete runs.
+    const double watchdog_s =
+        opts.exp.watchdogCycles / (opts.exp.freqGhz * 1e9);
+    for (const DsePoint &p : climb)
+        EXPECT_LT(p.seconds, watchdog_s) << p.name;
+    DseOptions uncut = opts;
+    uncut.exp.watchdogCycles = 0;
+    uncut.store = nullptr;
+    std::vector<CpuHybridDesign> designs;
+    for (const CpuHybridDesign &d : enumerateCpuDesigns())
+        for (const DsePoint &p : climb)
+            if (p.hash == designHash(d))
+                designs.push_back(d);
+    ASSERT_FALSE(designs.empty());
+    for (const DsePoint &full :
+         evaluateCpuDesigns(designs, *app.value(), uncut))
+        for (const DsePoint &p : climb)
+            if (p.hash == full.hash) {
+                EXPECT_EQ(p.seconds, full.seconds) << p.name;
+                EXPECT_EQ(p.energyJ, full.energyJ) << p.name;
+            }
 }
 
 TEST(Pareto, DominatedPointsAreExcluded)

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "common/envelope.hh"
-#include "common/thread_pool.hh"
 #include "core/configs.hh"
 #include "core/dse.hh"
 #include "core/experiment.hh"
@@ -93,10 +92,8 @@ dseCell(const workload::AppProfile &app)
     DseOptions opts;
     opts.exp.scale = kDseScale;
     opts.jobs = 4;
-    ThreadPool pool(opts.jobs);
-    DseCache cache;
-    const std::vector<DsePoint> points = evaluateCpuDesigns(
-        enumerateCpuDesigns(), app, opts, pool, cache);
+    const std::vector<DsePoint> points =
+        evaluateCpuDesigns(enumerateCpuDesigns(), app, opts);
     return {std::string("dse/cpu/") + app.name,
             digestOf(dseReportToJson(points, app.name,
                                      opts.objective))};

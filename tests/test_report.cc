@@ -317,26 +317,13 @@ TEST(Report, DseJsonIsJobCountInvariant)
     const std::string p1 = testing::TempDir() + "/hetsim_dse_1.json";
     const std::string p8 = testing::TempDir() + "/hetsim_dse_8.json";
 
-    opts.jobs = 1;
-    {
-        ThreadPool pool(1);
-        core::DseCache cache;
+    for (unsigned jobs : {1u, 8u}) {
+        opts.jobs = jobs;
         const auto pts = core::evaluateGpuDesigns(
-            core::enumerateGpuDesigns(), *kernel.value(), opts, pool,
-            cache);
+            core::enumerateGpuDesigns(), *kernel.value(), opts);
         ASSERT_TRUE(core::writeDseReportJson(pts, "matrixmul",
-                                             opts.objective, p1)
-                        .ok());
-    }
-    opts.jobs = 8;
-    {
-        ThreadPool pool(8);
-        core::DseCache cache;
-        const auto pts = core::evaluateGpuDesigns(
-            core::enumerateGpuDesigns(), *kernel.value(), opts, pool,
-            cache);
-        ASSERT_TRUE(core::writeDseReportJson(pts, "matrixmul",
-                                             opts.objective, p8)
+                                             opts.objective,
+                                             jobs == 1 ? p1 : p8)
                         .ok());
     }
     EXPECT_EQ(slurp(p1), slurp(p8));

@@ -17,8 +17,10 @@
 #include <thread>
 
 #include "core/result_store.hh"
+#include "core/dse.hh"
 #include "core/server.hh"
 #include "core/sweep.hh"
+#include "workload/gpu_profiles.hh"
 
 using namespace hetsim;
 using namespace hetsim::core;
@@ -314,6 +316,47 @@ TEST(BatchServer, SweepJobEmbedsTheLocalSweepBytes)
         ++cells_served;
     EXPECT_EQ(cells_served, static_cast<size_t>(kNumCpuConfigs))
         << all.value();
+}
+
+/** A served dse job runs the same cells as a local exploration and
+ *  embeds the same report bytes; its "watchdog" field cuts runs short,
+ *  and truncated designs are skipped, not ranked. */
+TEST(BatchServer, DseJobEmbedsTheLocalDseBytes)
+{
+    ServeOptions opts;
+    opts.socketPath = tempSocketPath("dse");
+    opts.verbose = false;
+    opts.jobs = 4;
+    ServerFixture fx(opts);
+    ASSERT_TRUE(fx.startStatus().ok())
+        << fx.startStatus().toString();
+
+    Result<std::string> served = submitJob(
+        opts.socketPath,
+        "{\"cmd\":\"dse\",\"space\":\"gpu\",\"workload\":\"matrixmul\","
+        "\"scale\":0.01}",
+        60000.0);
+    ASSERT_TRUE(served.ok()) << served.status().toString();
+    DseOptions local;
+    local.exp.scale = 0.01;
+    const auto kernel = workload::findGpuKernel("matrixmul");
+    ASSERT_TRUE(kernel.ok());
+    std::string expected = dseReportToJson(
+        evaluateGpuDesigns(enumerateGpuDesigns(), *kernel.value(), local),
+        "matrixmul", local.objective);
+    expected.pop_back(); // The envelope embeds it without the newline.
+    EXPECT_EQ(reportPart(served.value()),
+              "\"report\":" + expected + "}\n");
+
+    Result<std::string> cut = submitJob(
+        opts.socketPath,
+        "{\"cmd\":\"dse\",\"space\":\"gpu\",\"workload\":\"matrixmul\","
+        "\"scale\":0.01,\"watchdog\":100}",
+        60000.0);
+    ASSERT_TRUE(cut.ok()) << cut.status().toString();
+    EXPECT_NE(cut.value().find("\"ok\":true"), std::string::npos);
+    EXPECT_EQ(cut.value().find("\"name\":"), std::string::npos)
+        << cut.value();
 }
 
 TEST(BatchServer, BadJobInputIsAPerJobError)

@@ -236,10 +236,7 @@ TEST(Skip, DseReportBitIdentical)
         DseOptions opts;
         opts.exp = smallOpts(no_skip);
         opts.jobs = 2;
-        ThreadPool pool(opts.jobs);
-        DseCache cache;
-        const auto points =
-            evaluateCpuDesigns(designs, app, opts, pool, cache);
+        const auto points = evaluateCpuDesigns(designs, app, opts);
         ASSERT_EQ(points.size(), designs.size());
         ASSERT_TRUE(
             writeDseReportJson(points, app.name, opts.objective, path)

@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -420,6 +421,107 @@ TEST(SweepStoreKey, EncodesCellAndOptionIdentity)
     inlined.isolate = false;
     inlined.maxRetries = 3;
     EXPECT_EQ(cellStoreKey(a, opts), cellStoreKey(a, inlined));
+}
+
+namespace
+{
+
+SweepCell
+designCell(const CpuHybridDesign &d, const std::string &app,
+           double scale = 0.0)
+{
+    SweepCell cell = cpuAppCell(CpuConfig::BaseCmos, app, scale);
+    cell.cpuDesign = d;
+    return cell;
+}
+
+} // namespace
+
+TEST(SweepStoreKey, DesignCellsAreKeyedByDesign)
+{
+    SweepOptions opts;
+    const CpuHybridDesign base;
+    const SweepCell a = designCell(base, "fft");
+    EXPECT_EQ(cellStoreKey(a, opts), cellStoreKey(designCell(base, "fft"),
+                                                  opts));
+    EXPECT_NE(cellStoreKey(a, opts), cellStoreKey(designCell(base, "fmm"),
+                                                  opts));
+    SweepOptions scaled = opts;
+    scaled.exp.scale = 0.5;
+    EXPECT_NE(cellStoreKey(a, opts), cellStoreKey(a, scaled));
+
+    // Distinct designs get distinct keys; the cell's Table IV enum is
+    // not part of a design cell's identity.
+    std::set<std::string> keys;
+    for (const CpuHybridDesign &d : enumerateCpuDesigns())
+        keys.insert(cellStoreKey(designCell(d, "fft"), opts));
+    EXPECT_EQ(keys.size(), enumerateCpuDesigns().size());
+    SweepCell other_enum = a;
+    other_enum.cpuCfg = CpuConfig::AdvHet;
+    EXPECT_EQ(cellStoreKey(a, opts), cellStoreKey(other_enum, opts));
+
+    // A design and its Table IV twin simulate the same machine but
+    // are different cells.
+    for (int i = 0; i < kNumCpuConfigs; ++i) {
+        const auto cfg = static_cast<CpuConfig>(i);
+        EXPECT_NE(cellStoreKey(designCell(cpuHybridFromConfig(cfg), "fft"),
+                               opts),
+                  cellStoreKey(cpuAppCell(cfg, "fft"), opts))
+            << cpuConfigName(cfg);
+    }
+    for (int i = 0; i < kNumGpuConfigs; ++i) {
+        const auto cfg = static_cast<GpuConfig>(i);
+        SweepCell twin = gpuKernelCell(cfg, "dct");
+        twin.gpuDesign = gpuHybridFromConfig(cfg);
+        EXPECT_NE(cellStoreKey(twin, opts),
+                  cellStoreKey(gpuKernelCell(cfg, "dct"), opts))
+            << gpuConfigName(cfg);
+    }
+
+    // Doubles are keyed exactly: values that agree to nine
+    // significant digits are still different cells.
+    SweepOptions c = opts, d = opts;
+    c.exp.scale = 0.1;
+    d.exp.scale = 0.1000000001;
+    EXPECT_NE(cellStoreKey(a, c), cellStoreKey(a, d));
+    EXPECT_NE(cellStoreKey(designCell(base, "fft", 0.1), opts),
+              cellStoreKey(designCell(base, "fft", 0.1000000001), opts));
+    c = opts;
+    d = opts;
+    c.exp.freqGhz = 2.0;
+    d.exp.freqGhz = 2.0000000001;
+    EXPECT_NE(cellStoreKey(a, c), cellStoreKey(a, d));
+}
+
+/** A design cell runs its synthesized bundle: through runSweep (forked
+ *  or inline) it equals runCpuBundle on that bundle bit for bit. */
+TEST(Sweep, DesignCellEqualsItsSynthesizedBundle)
+{
+    CpuHybridDesign d;
+    d.alu = power::DeviceClass::Tfet;
+    d.l3 = power::DeviceClass::Tfet;
+    d.dualSpeedAlu = true;
+    SweepOptions opts;
+    opts.exp.scale = 0.02;
+    const Result<CpuConfigBundle> bundle =
+        synthesizeCpuBundle(d, opts.exp.freqGhz);
+    ASSERT_TRUE(bundle.ok());
+    const CpuOutcome ref = runCpuBundle(bundle.value(), designName(d),
+                                        workload::cpuApp("fft"),
+                                        opts.exp);
+
+    for (bool isolate : {true, false}) {
+        opts.isolate = isolate;
+        const SweepReport rep = runSweep({designCell(d, "fft")}, opts);
+        ASSERT_EQ(rep.results.size(), 1u);
+        const CellResult &r = rep.results[0];
+        EXPECT_EQ(r.outcome, CellOutcome::Ok) << r.status.toString();
+        EXPECT_EQ(r.cycles, ref.cycles);
+        EXPECT_EQ(r.ops, ref.committedOps);
+        EXPECT_EQ(r.seconds, ref.metrics.seconds);
+        EXPECT_EQ(r.energyJ, ref.metrics.energyJ);
+        EXPECT_EQ(cellConfigName(rep.cells[0]), designName(d));
+    }
 }
 
 TEST(SweepStore, ResumeReplaysJournaledCellsByteIdentically)
