@@ -80,21 +80,6 @@
  *       store and replayed from it, so a repeated exploration is
  *       warm. A design whose run fails or hits the cycle watchdog is
  *       skipped with a warning, never ranked.
- *   hetsim_cli serve --socket /tmp/hetsim.sock [--store DIR]
- *                    [--jobs N] [--timeout-ms T]
- *                    [--watchdog-cycles N] [--retries R]
- *                    [--retry-backoff-ms B] [--report-json out.json]
- *       Resident batch daemon: accepts length-prefixed flat-JSON
- *       run/gpu/sweep/dse jobs over a unix socket (higher "priority"
- *       fields run first), executes every cell through the
- *       fork-isolated sweep runner with the shared result store, and
- *       drains gracefully on SIGTERM/SIGINT — answering every queued
- *       job, then writing its lifetime counters (jobs, store
- *       hits/misses/quarantines, retries) as a RunReport.
- *       --checkpoint-every N (needs --store) lets the drain signal
- *       preempt the in-flight cell at its next checkpoint instead of
- *       running it to completion; re-submitting the job after a
- *       restart resumes the cell from its journaled checkpoint.
  *   hetsim_cli store fsck --dir DIR
  *   hetsim_cli store gc --dir DIR
  *       Offline store maintenance: verify every .hres entry exactly
@@ -105,14 +90,6 @@
  *       files. fsck only reports (exit 1 while problem files
  *       remain); gc additionally deletes quarantined files and
  *       orphan temps (never live entries or checkpoints).
- *   hetsim_cli submit --socket /tmp/hetsim.sock
- *                     --request '{"cmd":"run","config":"AdvHet",
- *                     "workload":"fft","scale":0.05}'
- *                     [--timeout-ms T]
- *       Send one job to a serve daemon and print the JSON response
- *       (exit 0 when the response says ok, 2 when it reports an
- *       error). Connect retries until the deadline, so a submit
- *       racing a freshly spawned server just works.
  *
  *   run and gpu also accept --store DIR: the full RunReport is
  *   memoized durably, and an identical re-invocation prints the same
@@ -130,6 +107,7 @@
 #include <cerrno>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -138,8 +116,6 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "common/file.hh"
 #include "common/logging.hh"
 #include "common/status.hh"
@@ -147,7 +123,6 @@
 #include "core/dse.hh"
 #include "core/experiment.hh"
 #include "core/result_store.hh"
-#include "core/server.hh"
 #include "core/sweep.hh"
 #include "workload/cpu_trace_gen.hh"
 #include "workload/trace_file.hh"
@@ -262,6 +237,19 @@ class Args
         return v;
     }
 
+    /** getU() of a count the simulator holds in 32 bits (jobs,
+     *  cores, threads, retries); a wider value is an error, never a
+     *  silent wrap. */
+    uint32_t
+    getU32(const std::string &key, uint32_t dflt) const
+    {
+        const uint64_t v = getU(key, dflt);
+        if (v > UINT32_MAX)
+            die("--%s must be at most %u, got '%s'", key.c_str(),
+                UINT32_MAX, get(key).c_str());
+        return static_cast<uint32_t>(v);
+    }
+
   private:
     std::map<std::string, std::string> kv_;
 };
@@ -306,7 +294,7 @@ installPreemptHandler()
 }
 
 /** Exit code of a run stopped at a preemption checkpoint (1 is a
- *  plain error, 2 a submit error-response). */
+ *  plain error). */
 constexpr int kExitPreempted = 3;
 
 int
@@ -537,8 +525,7 @@ cmdRun(const Args &args)
         dieOn(app.status());
     core::ExperimentOptions opts = runOptions(args);
     opts.freqGhz = args.getPositive("freq", 2.0);
-    opts.coresOverride =
-        static_cast<uint32_t>(args.getU("cores", 0));
+    opts.coresOverride = args.getU32("cores", 0);
     const std::string config = core::cpuConfigName(cfg);
     const std::string key = "run-report-v1|" +
         core::runKey("cpu", config, app.value()->name, opts);
@@ -618,10 +605,10 @@ cmdRecord(const Args &args)
     const std::string out_path = args.get("out");
     if (out_path.empty())
         die("record needs --out <file>");
-    const uint32_t threads =
-        static_cast<uint32_t>(args.getU("threads", 4));
-    const uint32_t thread =
-        static_cast<uint32_t>(args.getU("thread", 0));
+    const uint32_t threads = args.getU32("threads", 4);
+    const uint32_t thread = args.getU32("thread", 0);
+    if (thread >= threads)
+        die("--thread %u must be below --threads %u", thread, threads);
     workload::SyntheticCpuTrace src(*app.value(), thread, threads,
                                     args.getU("seed", 1),
                                     args.getPositive("scale", 1.0));
@@ -714,14 +701,13 @@ cmdSweep(const Args &args)
     opts.exp.noSkip = args.getU("no-skip", 0) != 0;
     opts.wallLimitMs = args.getD("timeout-ms", 0.0);
     opts.isolate = args.getU("no-isolate", 0) == 0;
-    opts.jobs = static_cast<unsigned>(args.getU("jobs", 1));
+    opts.jobs = args.getU32("jobs", 1);
     opts.verbose = true;
 
     std::optional<core::ResultStore> store = openStoreArg(args);
     opts.store = store ? &*store : nullptr;
     opts.resume = args.getU("resume", 0) != 0;
-    opts.maxRetries =
-        static_cast<uint32_t>(args.getU("retries", 0));
+    opts.maxRetries = args.getU32("retries", 0);
     opts.retryBackoffMs = args.getD("retry-backoff-ms", 50.0);
     if (opts.resume && !opts.store)
         die("--resume 1 needs --store <dir> (nothing to replay)");
@@ -796,7 +782,7 @@ cmdDse(const Args &args)
     opts.exp.freqGhz = args.getPositive("freq", 2.0);
     opts.exp.seed = args.getU("seed", 1);
     opts.exp.noSkip = args.getU("no-skip", 0) != 0;
-    opts.jobs = static_cast<unsigned>(args.getU("jobs", 1));
+    opts.jobs = args.getU32("jobs", 1);
     opts.areaBudgetMm2 = args.getD("budget-mm2", 0.0);
     const auto objective =
         core::dseObjectiveFromName(args.get("objective", "ed2"));
@@ -896,92 +882,6 @@ cmdDse(const Args &args)
     return 0;
 }
 
-/** Self-pipe fd of the running serve daemon; written once before the
- *  handlers are installed, read by the (async-signal-safe) handler. */
-volatile sig_atomic_t g_serve_drain_fd = -1;
-
-extern "C" void
-onServeDrainSignal(int)
-{
-    // Also raise the preemption flag: with --checkpoint-every, the
-    // in-flight cell drains to a checkpoint instead of running to
-    // completion (children inherit this handler, so a process-group
-    // signal reaches forked cells too).
-    g_preempt = 1;
-    if (g_serve_drain_fd >= 0) {
-        const char byte = 'q';
-        [[maybe_unused]] const ssize_t n =
-            ::write(g_serve_drain_fd, &byte, 1);
-    }
-}
-
-int
-cmdServe(const Args &args)
-{
-    core::ServeOptions opts;
-    opts.socketPath = args.get("socket");
-    if (opts.socketPath.empty())
-        die("serve needs --socket <path>");
-    opts.storeDir = args.get("store");
-    opts.jobs = static_cast<unsigned>(args.getU("jobs", 1));
-    opts.wallLimitMs = args.getD("timeout-ms", 0.0);
-    opts.watchdogCycles = args.getU("watchdog-cycles", 0);
-    opts.maxRetries =
-        static_cast<uint32_t>(args.getU("retries", 1));
-    opts.retryBackoffMs = args.getD("retry-backoff-ms", 50.0);
-    opts.requestTimeoutMs =
-        args.getD("request-timeout-ms", 10000.0);
-    opts.verbose = args.getU("verbose", 1) != 0;
-    opts.checkpointEveryCycles = args.getU("checkpoint-every", 0);
-    if (opts.checkpointEveryCycles > 0 && opts.storeDir.empty())
-        die("--checkpoint-every needs --store <dir> "
-            "(mid-run checkpoints live in the store directory)");
-    opts.preempt = &g_preempt;
-
-    core::BatchServer server(opts);
-    if (Status s = server.start(); !s.ok())
-        dieOn(s);
-
-    g_serve_drain_fd = server.drainWakeupFd();
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = onServeDrainSignal;
-    sigemptyset(&sa.sa_mask);
-    ::sigaction(SIGTERM, &sa, nullptr);
-    ::sigaction(SIGINT, &sa, nullptr);
-
-    std::printf("serving on %s%s%s (SIGTERM drains gracefully)\n",
-                opts.socketPath.c_str(),
-                opts.storeDir.empty() ? "" : ", store ",
-                opts.storeDir.c_str());
-    std::fflush(stdout);
-
-    const Status served = server.serve();
-    if (!served.ok())
-        dieOn(served);
-
-    const core::ServerCounters c = server.counters();
-    std::printf("drained: %llu jobs completed, %llu rejected "
-                "(%llu cells ok, %llu failed, %llu timed out, "
-                "%llu retries)\n",
-                static_cast<unsigned long long>(c.jobsCompleted),
-                static_cast<unsigned long long>(c.jobsRejected),
-                static_cast<unsigned long long>(c.cellsOk),
-                static_cast<unsigned long long>(c.cellsFailed),
-                static_cast<unsigned long long>(c.cellsTimedOut),
-                static_cast<unsigned long long>(c.retries));
-
-    const std::string report_path = args.get("report-json");
-    if (!report_path.empty()) {
-        const Status s =
-            server.buildReport().writeJson(report_path);
-        if (!s.ok())
-            dieOn(s);
-        std::printf("report: %s\n", report_path.c_str());
-    }
-    return 0;
-}
-
 int
 cmdStore(int argc, char **argv)
 {
@@ -1027,28 +927,6 @@ cmdStore(int argc, char **argv)
     return remaining > 0 ? 1 : 0;
 }
 
-int
-cmdSubmit(const Args &args)
-{
-    const std::string socket_path = args.get("socket");
-    if (socket_path.empty())
-        die("submit needs --socket <path>");
-    const std::string request = args.get("request");
-    if (request.empty())
-        die("submit needs --request '<flat json job>'");
-
-    Result<std::string> response = core::submitJob(
-        socket_path, request, args.getD("timeout-ms", 60000.0));
-    if (!response.ok())
-        dieOn(response.status());
-    std::fputs(response.value().c_str(), stdout);
-    // Exit 2 when the daemon answered with an error document so
-    // scripts can branch without parsing JSON.
-    const bool ok =
-        response.value().find("\"ok\":true") != std::string::npos;
-    return ok ? 0 : 2;
-}
-
 } // namespace
 
 /** A command and the options it takes. */
@@ -1085,17 +963,12 @@ main(int argc, char **argv)
          {"space", "app", "kernel", "objective", "strategy", "jobs",
           "budget-mm2", "scale", "seed", "freq", "no-skip", "store",
           "csv", "report-json"}},
-        {"serve", cmdServe,
-         {"socket", "store", "jobs", "timeout-ms", "watchdog-cycles",
-          "retries", "retry-backoff-ms", "request-timeout-ms",
-          "verbose", "checkpoint-every", "report-json"}},
-        {"submit", cmdSubmit, {"socket", "request", "timeout-ms"}},
     };
     if (argc < 2) {
         std::fprintf(stderr,
                      "usage: hetsim_cli "
-                     "{list|run|gpu|record|replay|sweep|dse|"
-                     "serve|submit|store} [--opt value]...\n"
+                     "{list|run|gpu|record|replay|sweep|dse|store} "
+                     "[--opt value]...\n"
                      "see the file header for details\n");
         return 1;
     }

@@ -33,5 +33,15 @@ expect_error run --app fft --scale 0
 expect_error run --app fft --scale -0.5
 # An option the command does not take.
 expect_error dse --space gpu --scale 0.01 --repeat 2
+# A 32-bit option above UINT32_MAX (2^32 + 1 would wrap to 1).
+expect_error record --app fft --scale 0.01 --max 10 \
+    --thread 4294967297 --out /dev/null
+expect_error sweep --configs BaseCMOS --workloads fft --scale 0.01 \
+    --jobs 4294967297
+# A thread index outside the recorded thread count.
+expect_error record --app fft --scale 0.01 --max 10 --threads 0 \
+    --out /dev/null
+expect_error record --app fft --scale 0.01 --max 10 --thread 4 \
+    --threads 4 --out /dev/null
 
 exit $status

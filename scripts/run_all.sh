@@ -12,10 +12,9 @@ ctest --test-dir build --output-on-failure
 # or trips UB fails the run.
 cmake -B build-asan -G Ninja -DHETSIM_SANITIZE="address;undefined"
 cmake --build build-asan --target test_status test_trace_file \
-      test_fault_inject test_sweep test_result_store test_json \
-      test_server test_checkpoint
+      test_fault_inject test_sweep test_result_store test_checkpoint
 ctest --test-dir build-asan --output-on-failure \
-      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_json|test_server|test_checkpoint'
+      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_checkpoint'
 
 # Concurrency pass: the design-space-exploration (forked sweep cells)
 # and shared-memory contention tests under ThreadSanitizer, so a data
@@ -243,30 +242,6 @@ build/examples/hetsim_cli store fsck --dir build/store_ckpt \
       && exit 1 || true
 build/examples/hetsim_cli store gc --dir build/store_ckpt
 build/examples/hetsim_cli store fsck --dir build/store_ckpt
-
-# Batch-server smoke: a resident daemon answers ping/run/stats jobs,
-# survives a malformed request, drains cleanly on SIGTERM, and writes
-# a counter-carrying server report.
-rm -rf build/store_serve
-SOCK=build/hetsim_serve.sock
-rm -f "$SOCK" "$SOCK.lock"
-build/examples/hetsim_cli serve --socket "$SOCK" \
-      --store build/store_serve --verbose 0 \
-      --report-json build/serve_report.json &
-serve_pid=$!
-build/examples/hetsim_cli submit --socket "$SOCK" \
-      --request '{"cmd":"ping"}' | grep -q '"ok":true'
-build/examples/hetsim_cli submit --socket "$SOCK" \
-      --request '{"cmd":"run","config":"AdvHet","workload":"fft","scale":0.05}' \
-      | grep -q '"ok":true'
-build/examples/hetsim_cli submit --socket "$SOCK" \
-      --request 'not json at all' && exit 1 || true
-build/examples/hetsim_cli submit --socket "$SOCK" \
-      --request '{"cmd":"stats"}' | grep -q 'jobs_accepted'
-kill -TERM $serve_pid
-wait $serve_pid
-grep -q '"kind":"server"' build/serve_report.json
-test ! -e "$SOCK"
 
 # Substrate microbenchmarks (simulator speed, not simulated machine),
 # exported as machine-readable JSON for regression tracking.

@@ -9,7 +9,7 @@
  *
  * Every file-I/O failure Status built here carries the operation, the
  * path, and the symbolic errno ("open failed: /path (EACCES)") so a
- * sweep summary or server log pinpoints the failing file without a
+ * sweep summary or CLI error pinpoints the failing file without a
  * strace session.
  */
 
@@ -81,9 +81,9 @@ class FileHandle
 };
 
 /**
- * Owning wrapper around a POSIX file descriptor (sockets, lock files,
- * O_* opens). Same RAII discipline as FileHandle: an error return can
- * never leak the descriptor.
+ * Owning wrapper around a POSIX file descriptor (O_* opens,
+ * directories opened for fsync). Same RAII discipline as FileHandle:
+ * an error return can never leak the descriptor.
  */
 class FdHandle
 {

@@ -19,7 +19,7 @@
  * served — and reported as a miss so the caller recomputes.
  *
  * Counters (hits / misses / quarantined / puts) feed the sweep
- * summary and the batch server's RunReport. All operations are
+ * summary and the CLI's dse store line. All operations are
  * thread-safe; concurrent put() of the same key is resolved by rename
  * atomicity (last writer wins, both writers wrote identical bytes for
  * a deterministic workload).

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -25,6 +26,16 @@ namespace hetsim::core
 
 namespace
 {
+
+/** Host monotonic clock in milliseconds (watchdogs and deadlines;
+ *  never part of a report). */
+double
+monotonicMs()
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return ts.tv_sec * 1e3 + ts.tv_nsec / 1e6;
+}
 
 /** Fixed-size prefix of a cell payload: the result a child sends up
  *  its pipe and the journaled entry in the ResultStore (the store's
@@ -390,14 +401,6 @@ journalCell(const std::string &key, const CellResult &res,
 
 } // namespace
 
-double
-monotonicMs()
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return ts.tv_sec * 1e3 + ts.tv_nsec / 1e6;
-}
-
 const char *
 cellOutcomeName(CellOutcome outcome)
 {
@@ -480,10 +483,13 @@ parseWorkloadSpec(const std::string &spec)
                                  "bad workload option '%s' in '%s' "
                                  "(expected scale=<x>)",
                                  opt.c_str(), spec.c_str());
+        // A finite number above zero, as the CLI's --scale.
         char *end = nullptr;
+        errno = 0;
         const double scale =
             std::strtod(opt.c_str() + 6, &end);
-        if (end == opt.c_str() + 6 || *end != '\0' || scale <= 0.0)
+        if (end == opt.c_str() + 6 || *end != '\0' ||
+            errno == ERANGE || !std::isfinite(scale) || scale <= 0.0)
             return Status::error(ErrorCode::InvalidArgument,
                                  "bad scale value in spec '%s'",
                                  spec.c_str());

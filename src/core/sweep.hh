@@ -239,10 +239,6 @@ struct SweepReport
 std::string cellStoreKey(const SweepCell &cell,
                          const SweepOptions &opts);
 
-/** Host monotonic clock in milliseconds (watchdogs and deadlines;
- *  never part of a report). */
-double monotonicMs();
-
 /** Display helpers for summaries. */
 std::string cellConfigName(const SweepCell &cell);
 std::string cellWorkloadName(const SweepCell &cell);

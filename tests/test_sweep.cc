@@ -89,7 +89,8 @@ TEST(ParseWorkloadSpec, Errors)
 {
     for (const char *bad :
          {"", "app:", "trace:", "kernel:@scale=2", "fft@speed=9",
-          "fft@scale=", "fft@scale=zero", "fft@scale=-1"}) {
+          "fft@scale=", "fft@scale=zero", "fft@scale=-1",
+          "fft@scale=inf", "fft@scale=nan", "fft@scale=1e999"}) {
         auto r = parseWorkloadSpec(bad);
         ASSERT_FALSE(r.ok()) << "spec '" << bad << "'";
         EXPECT_EQ(r.status().code(), ErrorCode::InvalidArgument)
