@@ -16,9 +16,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.hh"
+#include "common/table.hh"
 #include "core/configs.hh"
-#include "cpu/multicore.hh"
-#include "workload/cpu_trace_gen.hh"
 
 using namespace hetsim;
 
@@ -52,23 +51,6 @@ makeDeviceVariant(uint32_t mult, power::DeviceClass dev)
           power::CpuUnit::L2, power::CpuUnit::L3})
         b.units[static_cast<int>(u)].dev = dev;
     return b;
-}
-
-power::RunMetrics
-runBundle(const core::CpuConfigBundle &bundle,
-          const workload::AppProfile &app,
-          const core::ExperimentOptions &opts)
-{
-    auto traces = workload::makeCpuWorkload(app, bundle.numCores,
-                                            opts.seed, opts.scale);
-    std::vector<cpu::TraceSource *> ptrs;
-    for (auto &t : traces)
-        ptrs.push_back(t.get());
-    cpu::Multicore mc(bundle.sim, ptrs);
-    const cpu::MulticoreResult run = mc.run();
-    const auto e = power::computeCpuEnergy(
-        run.activity, bundle.units, run.seconds, bundle.numCores);
-    return {run.seconds, e.totalJ()};
 }
 
 } // namespace
@@ -105,8 +87,9 @@ main(int argc, char **argv)
             const core::CpuOutcome base = core::runCpuExperiment(
                 core::CpuConfig::BaseCmos, app, opts);
             const power::RunMetrics m =
-                runBundle(makeDeviceVariant(v.mult, v.dev), app,
-                          opts);
+                core::runCpuBundle(makeDeviceVariant(v.mult, v.dev),
+                                   v.name, app, opts)
+                    .metrics;
             const double nt = m.seconds / base.metrics.seconds;
             const double ne = m.energyJ / base.metrics.energyJ;
             time += nt;

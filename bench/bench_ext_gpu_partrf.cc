@@ -14,18 +14,18 @@
 #include <cstdio>
 
 #include "bench/bench_util.hh"
+#include "common/table.hh"
 #include "core/configs.hh"
-#include "gpu/gpu.hh"
-#include "workload/gpu_kernel_gen.hh"
 
 using namespace hetsim;
 
 namespace
 {
 
-core::GpuOutcome
-runPartitioned(const workload::KernelProfile &kernel,
-               const core::ExperimentOptions &opts)
+/** BaseHet with a partitioned RF: the lowest 64 registers are a
+ *  CMOS fast partition, the other 192 the TFET slow one. */
+core::GpuConfigBundle
+partitionedRf(const core::ExperimentOptions &opts)
 {
     core::GpuConfigBundle b =
         core::makeGpuConfig(core::GpuConfig::BaseHet,
@@ -40,21 +40,7 @@ runPartitioned(const workload::KernelProfile &kernel,
     slow.leakOnlyScale = 0.75;
     fast.dev = power::DeviceClass::Cmos;
     fast.leakOnlyScale = 0.25;
-
-    workload::SyntheticKernel k(kernel, opts.seed, opts.scale);
-    gpu::Gpu gpu(b.sim);
-    const gpu::GpuResult run = gpu.run(k);
-
-    core::GpuOutcome out;
-    out.config = "AdvHet-PartRF";
-    out.kernel = kernel.name;
-    out.cycles = run.cycles;
-    out.issuedOps = run.issuedOps;
-    out.energy = power::computeGpuEnergy(run.activity, b.units,
-                                         run.seconds, b.numCus);
-    out.metrics.seconds = run.seconds;
-    out.metrics.energyJ = out.energy.totalJ();
-    return out;
+    return b;
 }
 
 } // namespace
@@ -79,7 +65,8 @@ main(int argc, char **argv)
             core::GpuConfig::BaseCmos, kernel, opts);
         const core::GpuOutcome het = core::runGpuExperiment(
             core::GpuConfig::BaseHet, kernel, opts);
-        const core::GpuOutcome part = runPartitioned(kernel, opts);
+        const core::GpuOutcome part = core::runGpuBundle(
+            partitionedRf(opts), "AdvHet-PartRF", kernel, opts);
         const core::GpuOutcome adv = core::runGpuExperiment(
             core::GpuConfig::AdvHet, kernel, opts);
         const double vals[6] = {

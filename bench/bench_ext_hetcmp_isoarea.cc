@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.hh"
+#include "common/table.hh"
 #include "core/area.hh"
 #include "core/hetcmp.hh"
 

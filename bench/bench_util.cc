@@ -1,191 +1,94 @@
 #include "bench/bench_util.hh"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
+#include <string>
 
-#include "common/logging.hh"
+#include "workload/cpu_profiles.hh"
 #include "workload/gpu_profiles.hh"
 
 namespace hetsim::bench
 {
 
 core::ExperimentOptions
-parseOptions(int argc, char **argv, double default_scale)
+parseOptions(int argc, char **argv)
 {
     core::ExperimentOptions opts;
-    opts.scale = default_scale;
-    if (argc > 1)
-        opts.scale = std::atof(argv[1]);
-    if (opts.scale <= 0.0) {
+    if (argc < 2)
+        return opts;
+    // The CLI's --scale rule: a full parse, finite, above zero.
+    const char *text = argv[1];
+    char *end = nullptr;
+    errno = 0;
+    opts.scale = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(opts.scale) || opts.scale <= 0.0) {
         // Bench harnesses are front ends: they may exit directly.
-        std::fprintf(stderr, "error: scale must be positive, "
-                     "got '%s'\n", argv[1]);
+        std::fprintf(stderr, "error: scale must be a finite number "
+                     "above zero, got '%s'\n", text);
         std::exit(1);
     }
-    const char *env = std::getenv("HETSIM_BENCH_SCALE");
-    if (env && argc <= 1)
-        opts.scale = std::atof(env);
     return opts;
 }
 
-const core::CpuOutcome &
-CpuSuite::at(size_t cfg, size_t app) const
+const std::vector<Figure14Point> &
+figure14Points()
 {
-    return outcomes[cfg * apps.size() + app];
+    static const std::vector<Figure14Point> v = {
+        {"BaseFreq-2GHz", 2.0, false},
+        {"BoostFreq-2.5GHz", 2.5, false},
+        {"SlowFreq-1.5GHz", 1.5, false},
+        {"Variation-2GHz", 2.0, true},
+    };
+    return v;
 }
 
-const core::CpuOutcome &
-CpuSuite::baseline(size_t app) const
+core::ExperimentOptions
+atPoint(const core::ExperimentOptions &base, const Figure14Point &p)
 {
-    return at(0, app);
+    core::ExperimentOptions exp = base;
+    exp.freqGhz = p.freqGhz;
+    exp.variationGuardband = p.guardband;
+    return exp;
 }
 
-CpuSuite
-runCpuSuite(const std::vector<core::CpuConfig> &configs,
-            const core::ExperimentOptions &opts)
+std::vector<PaperRun>
+paperPlan(const core::ExperimentOptions &base)
 {
-    CpuSuite suite;
-    suite.configs = configs;
-    suite.apps = workload::cpuApps();
-    suite.outcomes.reserve(configs.size() * suite.apps.size());
-    for (core::CpuConfig cfg : configs) {
-        std::fprintf(stderr, "  running %s...\n",
-                     core::cpuConfigName(cfg));
-        for (const workload::AppProfile &app : suite.apps)
-            suite.outcomes.push_back(
-                core::runCpuExperiment(cfg, app, opts));
+    std::vector<PaperRun> plan;
+    std::set<std::string> seen;
+    const auto add = [&seen](PaperRun &run, core::SweepCell cell) {
+        core::SweepOptions opts;
+        opts.exp = run.exp;
+        if (seen.insert(core::cellStoreKey(cell, opts)).second)
+            run.cells.push_back(std::move(cell));
+    };
+    const auto &apps = workload::cpuApps();
+
+    PaperRun figures{base, {}};
+    for (const auto *cfgs :
+         {&core::figure7Configs(), &core::figure13Configs()})
+        for (core::CpuConfig cfg : *cfgs)
+            for (const auto &app : apps)
+                add(figures, core::cpuAppCell(cfg, app.name));
+    for (core::GpuConfig cfg : core::figure10Configs())
+        for (const auto &kernel : workload::gpuKernels())
+            add(figures, core::gpuKernelCell(cfg, kernel.name));
+    plan.push_back(std::move(figures));
+
+    for (const Figure14Point &p : figure14Points()) {
+        PaperRun run{atPoint(base, p), {}};
+        for (core::CpuConfig cfg :
+             {core::CpuConfig::BaseCmos, core::CpuConfig::AdvHet})
+            for (const auto &app : apps)
+                add(run, core::cpuAppCell(cfg, app.name));
+        if (!run.cells.empty())
+            plan.push_back(std::move(run));
     }
-    return suite;
-}
-
-const core::GpuOutcome &
-GpuSuite::at(size_t cfg, size_t kernel) const
-{
-    return outcomes[cfg * kernels.size() + kernel];
-}
-
-const core::GpuOutcome &
-GpuSuite::baseline(size_t kernel) const
-{
-    return at(0, kernel);
-}
-
-GpuSuite
-runGpuSuite(const std::vector<core::GpuConfig> &configs,
-            const core::ExperimentOptions &opts)
-{
-    GpuSuite suite;
-    suite.configs = configs;
-    suite.kernels = workload::gpuKernels();
-    suite.outcomes.reserve(configs.size() * suite.kernels.size());
-    for (core::GpuConfig cfg : configs) {
-        std::fprintf(stderr, "  running %s...\n",
-                     core::gpuConfigName(cfg));
-        for (const workload::KernelProfile &k : suite.kernels)
-            suite.outcomes.push_back(
-                core::runGpuExperiment(cfg, k, opts));
-    }
-    return suite;
-}
-
-void
-printCpuFigure(const std::string &title, const CpuSuite &suite,
-               const CpuMetricFn &metric, const std::string &csv_path)
-{
-    std::vector<std::string> columns = {"app"};
-    for (core::CpuConfig cfg : suite.configs)
-        columns.push_back(core::cpuConfigName(cfg));
-    TablePrinter t(title, columns);
-
-    std::vector<double> sums(suite.configs.size(), 0.0);
-    for (size_t a = 0; a < suite.apps.size(); ++a) {
-        std::vector<double> row;
-        for (size_t c = 0; c < suite.configs.size(); ++c) {
-            const double v = metric(suite.at(c, a),
-                                    suite.baseline(a));
-            row.push_back(v);
-            sums[c] += v;
-        }
-        t.addRow(suite.apps[a].name, row);
-    }
-    std::vector<double> means;
-    for (double s : sums)
-        means.push_back(s / suite.apps.size());
-    t.addRow("Average", means);
-    t.print();
-    if (!csv_path.empty() && !t.writeCsv(csv_path))
-        warn("could not write %s", csv_path.c_str());
-}
-
-void
-printGpuFigure(const std::string &title, const GpuSuite &suite,
-               const GpuMetricFn &metric, const std::string &csv_path)
-{
-    std::vector<std::string> columns = {"kernel"};
-    for (core::GpuConfig cfg : suite.configs)
-        columns.push_back(core::gpuConfigName(cfg));
-    TablePrinter t(title, columns);
-
-    std::vector<double> sums(suite.configs.size(), 0.0);
-    for (size_t k = 0; k < suite.kernels.size(); ++k) {
-        std::vector<double> row;
-        for (size_t c = 0; c < suite.configs.size(); ++c) {
-            const double v = metric(suite.at(c, k),
-                                    suite.baseline(k));
-            row.push_back(v);
-            sums[c] += v;
-        }
-        t.addRow(suite.kernels[k].name, row);
-    }
-    std::vector<double> means;
-    for (double s : sums)
-        means.push_back(s / suite.kernels.size());
-    t.addRow("Average", means);
-    t.print();
-    if (!csv_path.empty() && !t.writeCsv(csv_path))
-        warn("could not write %s", csv_path.c_str());
-}
-
-double
-cpuNormTime(const core::CpuOutcome &r, const core::CpuOutcome &b)
-{
-    return r.metrics.seconds / b.metrics.seconds;
-}
-
-double
-cpuNormEnergy(const core::CpuOutcome &r, const core::CpuOutcome &b)
-{
-    return r.metrics.energyJ / b.metrics.energyJ;
-}
-
-double
-cpuNormEd(const core::CpuOutcome &r, const core::CpuOutcome &b)
-{
-    return r.metrics.edJs() / b.metrics.edJs();
-}
-
-double
-cpuNormEd2(const core::CpuOutcome &r, const core::CpuOutcome &b)
-{
-    return r.metrics.ed2Js2() / b.metrics.ed2Js2();
-}
-
-double
-gpuNormTime(const core::GpuOutcome &r, const core::GpuOutcome &b)
-{
-    return r.metrics.seconds / b.metrics.seconds;
-}
-
-double
-gpuNormEnergy(const core::GpuOutcome &r, const core::GpuOutcome &b)
-{
-    return r.metrics.energyJ / b.metrics.energyJ;
-}
-
-double
-gpuNormEd2(const core::GpuOutcome &r, const core::GpuOutcome &b)
-{
-    return r.metrics.ed2Js2() / b.metrics.ed2Js2();
+    return plan;
 }
 
 } // namespace hetsim::bench

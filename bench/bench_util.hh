@@ -2,13 +2,16 @@
  * @file
  * Shared helpers for the figure/table bench harnesses.
  *
- * Every bench binary reproduces one table or figure of the paper: it
- * runs the relevant (configuration x workload) matrix, prints the same
- * rows/series the paper reports (normalized to the paper's baseline),
- * and mirrors the table to a CSV file next to the binary.
+ * `bench_paper` regenerates Figures 7-14: it runs the figures' one
+ * deduplicated cell plan (paperPlan) through core::runSweep, then
+ * renders every table and CSV from the cell results. The extension
+ * benches (`bench_ext_*`) each reproduce one further experiment whose
+ * variants are not sweep cells. Every table is printed and mirrored to
+ * a CSV file in the working directory.
  *
- * Usage of every bench binary:
- *   bench_figN [scale]
+ * Usage:
+ *   bench_paper [scale] [store-dir]
+ *   bench_ext_X [scale]
  * where `scale` (default 1.0) multiplies workload sizes; use smaller
  * values for quick runs.
  */
@@ -16,82 +19,50 @@
 #ifndef HETSIM_BENCH_BENCH_UTIL_HH
 #define HETSIM_BENCH_BENCH_UTIL_HH
 
-#include <functional>
-#include <string>
 #include <vector>
 
-#include "common/table.hh"
-#include "core/experiment.hh"
+#include "core/sweep.hh"
 
 namespace hetsim::bench
 {
 
-/** Parse the common [scale] argument. */
-core::ExperimentOptions parseOptions(int argc, char **argv,
-                                     double default_scale = 1.0);
+/**
+ * Options at the scale given as argv[1] (1.0 when absent). The scale
+ * must parse in full as a finite number above zero; anything else
+ * prints "error:" and exits 1 before any work starts.
+ */
+core::ExperimentOptions parseOptions(int argc, char **argv);
 
-/** Results of a CPU config x app matrix with the baseline first. */
-struct CpuSuite
+/** One of Figure 14's operating points. */
+struct Figure14Point
 {
-    std::vector<core::CpuConfig> configs;
-    std::vector<workload::AppProfile> apps;
-    std::vector<core::CpuOutcome> outcomes;
-
-    const core::CpuOutcome &at(size_t cfg, size_t app) const;
-    const core::CpuOutcome &baseline(size_t app) const;
+    const char *label;
+    double freqGhz;
+    bool guardband; ///< 15nm process-variation guardbands.
 };
 
-/** Run a CPU suite (configs x all 14 paper apps). */
-CpuSuite runCpuSuite(const std::vector<core::CpuConfig> &configs,
-                     const core::ExperimentOptions &opts);
+/** Figure 14's points; the first is the other figures' 2 GHz. */
+const std::vector<Figure14Point> &figure14Points();
 
-/** Results of a GPU config x kernel matrix with the baseline first. */
-struct GpuSuite
+/** `base` moved to one of Figure 14's operating points. */
+core::ExperimentOptions atPoint(const core::ExperimentOptions &base,
+                                const Figure14Point &p);
+
+/** The cells of one runSweep call: all share one set of options. */
+struct PaperRun
 {
-    std::vector<core::GpuConfig> configs;
-    std::vector<workload::KernelProfile> kernels;
-    std::vector<core::GpuOutcome> outcomes;
-
-    const core::GpuOutcome &at(size_t cfg, size_t kernel) const;
-    const core::GpuOutcome &baseline(size_t kernel) const;
+    core::ExperimentOptions exp;
+    std::vector<core::SweepCell> cells;
 };
-
-/** Run a GPU suite (configs x all paper kernels). */
-GpuSuite runGpuSuite(const std::vector<core::GpuConfig> &configs,
-                     const core::ExperimentOptions &opts);
-
-/** Per-app normalized metric selected by `metric`. */
-using CpuMetricFn =
-    std::function<double(const core::CpuOutcome &run,
-                         const core::CpuOutcome &base)>;
-using GpuMetricFn =
-    std::function<double(const core::GpuOutcome &run,
-                         const core::GpuOutcome &base)>;
 
 /**
- * Print (and CSV-mirror) a figure table: one row per app, one column
- * per configuration, values normalized to the suite baseline, plus a
- * trailing arithmetic-mean row (the paper's "Average" bars).
+ * Figures 7-14's cells, each once: (Figure 7 and 13 configs) x the
+ * 14 apps and the Figure 10 configs x the GPU kernels at `base`, then
+ * BaseCMOS and AdvHet x the apps at each Figure 14 point. A cell whose
+ * cellStoreKey an earlier cell already has is dropped, so the 2 GHz
+ * point adds nothing. One PaperRun per set of options that has cells.
  */
-void printCpuFigure(const std::string &title, const CpuSuite &suite,
-                    const CpuMetricFn &metric,
-                    const std::string &csv_path);
-
-void printGpuFigure(const std::string &title, const GpuSuite &suite,
-                    const GpuMetricFn &metric,
-                    const std::string &csv_path);
-
-/** Normalized time / energy / ED / ED^2 metric functions. @{ */
-double cpuNormTime(const core::CpuOutcome &r, const core::CpuOutcome &b);
-double cpuNormEnergy(const core::CpuOutcome &r,
-                     const core::CpuOutcome &b);
-double cpuNormEd(const core::CpuOutcome &r, const core::CpuOutcome &b);
-double cpuNormEd2(const core::CpuOutcome &r, const core::CpuOutcome &b);
-double gpuNormTime(const core::GpuOutcome &r, const core::GpuOutcome &b);
-double gpuNormEnergy(const core::GpuOutcome &r,
-                     const core::GpuOutcome &b);
-double gpuNormEd2(const core::GpuOutcome &r, const core::GpuOutcome &b);
-/** @} */
+std::vector<PaperRun> paperPlan(const core::ExperimentOptions &base);
 
 } // namespace hetsim::bench
 

@@ -12,9 +12,10 @@ ctest --test-dir build --output-on-failure
 # or trips UB fails the run.
 cmake -B build-asan -G Ninja -DHETSIM_SANITIZE="address;undefined"
 cmake --build build-asan --target test_status test_trace_file \
-      test_fault_inject test_sweep test_result_store test_checkpoint
+      test_fault_inject test_spec_fuzz test_sweep test_result_store \
+      test_checkpoint
 ctest --test-dir build-asan --output-on-failure \
-      -R 'test_status|test_trace_file|test_fault_inject|test_sweep|test_result_store|test_checkpoint'
+      -R 'test_status|test_trace_file|test_fault_inject|test_spec_fuzz|test_sweep|test_result_store|test_checkpoint'
 
 # Concurrency pass: the design-space-exploration (forked sweep cells)
 # and shared-memory contention tests under ThreadSanitizer, so a data
@@ -257,8 +258,15 @@ build/bench/bench_micro_substrate \
       --benchmark_out=build/BENCH_simspeed.json \
       --benchmark_out_format=json
 
-for b in build/bench/bench_table* build/bench/bench_fig* \
-         build/bench/bench_ext*; do
+for b in build/bench/bench_table* build/bench/bench_fig*; do
+    echo "##### $(basename "$b")"
+    "$b" "$SCALE"
+done
+# Figures 7-14: one deduplicated plan, one job per online CPU. The
+# store makes an unchanged rerun a replay.
+echo "##### bench_paper"
+build/bench/bench_paper "$SCALE" build/paper_store
+for b in build/bench/bench_ext*; do
     echo "##### $(basename "$b")"
     "$b" "$SCALE"
 done

@@ -49,6 +49,8 @@ struct WireResult
     uint64_t ops;
     double seconds;
     double energyJ;
+    double groupDynamicJ[power::kNumEnergyGroups];
+    double groupLeakageJ[power::kNumEnergyGroups];
     uint32_t msgLen;
 };
 #pragma pack(pop)
@@ -64,6 +66,10 @@ encodeCellPayload(const CellResult &res)
     wire.ops = res.ops;
     wire.seconds = res.seconds;
     wire.energyJ = res.energyJ;
+    std::memcpy(wire.groupDynamicJ, res.groupDynamicJ,
+                sizeof(wire.groupDynamicJ));
+    std::memcpy(wire.groupLeakageJ, res.groupLeakageJ,
+                sizeof(wire.groupLeakageJ));
     const std::string &msg = res.status.message();
     wire.msgLen = static_cast<uint32_t>(msg.size());
     std::string payload(reinterpret_cast<const char *>(&wire),
@@ -96,6 +102,10 @@ decodeCellPayload(const std::string &payload, CellResult *res)
     res->ops = wire.ops;
     res->seconds = wire.seconds;
     res->energyJ = wire.energyJ;
+    std::memcpy(res->groupDynamicJ, wire.groupDynamicJ,
+                sizeof(res->groupDynamicJ));
+    std::memcpy(res->groupLeakageJ, wire.groupLeakageJ,
+                sizeof(res->groupLeakageJ));
     // A preempted child saved a checkpoint and stopped: keep the
     // never-journal / never-retry semantics across the pipe (and for
     // a journal entry claiming preemption, should one ever appear).
@@ -146,7 +156,7 @@ markPreempted(CellResult *res, const char *what)
  *  the cycle watchdog cut it short, or preempted at a checkpoint. */
 CellResult
 runResult(bool preempted, bool timed_out, uint64_t cycles, uint64_t ops,
-          double seconds, double energy_j)
+          double seconds, const power::EnergyBreakdown &energy)
 {
     CellResult res;
     res.cycles = cycles;
@@ -161,7 +171,11 @@ runResult(bool preempted, bool timed_out, uint64_t cycles, uint64_t ops,
             static_cast<unsigned long long>(cycles));
     res.ops = ops;
     res.seconds = seconds;
-    res.energyJ = energy_j;
+    res.energyJ = energy.totalJ();
+    std::memcpy(res.groupDynamicJ, energy.groupDynamicJ,
+                sizeof(res.groupDynamicJ));
+    std::memcpy(res.groupLeakageJ, energy.groupLeakageJ,
+                sizeof(res.groupLeakageJ));
     return res;
 }
 
@@ -205,7 +219,7 @@ runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
             bundle.value(), cellConfigName(cell), *app.value(), exp);
         return runResult(out.preempted, out.timedOut, out.cycles,
                          out.committedOps, out.metrics.seconds,
-                         out.metrics.energyJ);
+                         out.energy);
       }
 
       case SweepCell::Kind::CpuTrace:
@@ -226,7 +240,7 @@ runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
             return res;
         }
         return runResult(run.preempted, run.timedOut, run.cycles,
-                         run.committedOps, run.seconds, 0.0);
+                         run.committedOps, run.seconds, {});
       }
 
       case SweepCell::Kind::GpuKernel:
@@ -244,7 +258,7 @@ runCellInProcess(const SweepCell &cell, const SweepOptions &opts)
             bundle.value(), cellConfigName(cell), *kernel.value(), exp);
         return runResult(out.preempted, out.timedOut, out.cycles,
                          out.issuedOps, out.metrics.seconds,
-                         out.metrics.energyJ);
+                         out.energy);
       }
     }
     res.status = Status::error(ErrorCode::Internal,
@@ -632,7 +646,7 @@ cellStoreKey(const SweepCell &cell, const SweepOptions &opts)
         kind = "trace";
     else if (cell.kind == SweepCell::Kind::GpuKernel)
         kind = "gpu";
-    return "sweep-cell-v1|" + runKey(kind, cellConfigName(cell),
+    return "sweep-cell-v2|" + runKey(kind, cellConfigName(cell),
                                      cell.workload,
                                      cellOptions(cell, opts));
 }

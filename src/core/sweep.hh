@@ -130,6 +130,11 @@ struct CellResult
     uint64_t ops = 0;      ///< Committed (CPU) or issued (GPU) ops.
     double seconds = 0.0;  ///< Simulated time.
     double energyJ = 0.0;
+    /** energyJ's Figure 8 split by power::EnergyGroup (a GPU's
+     *  energy all sits in the Core group). @{ */
+    double groupDynamicJ[power::kNumEnergyGroups] = {};
+    double groupLeakageJ[power::kNumEnergyGroups] = {};
+    /** @} */
     double wallMs = 0.0;   ///< Host wall-clock spent on the cell.
     /** Nondeterministic failure (child crash, wall-clock kill):
      *  eligible for retry, excluded from the durable journal. */

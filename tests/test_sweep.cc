@@ -366,6 +366,16 @@ countEntries(const std::string &dir)
     return n;
 }
 
+/** A cell's group energies equal the run's, bit for bit. */
+void
+expectSameGroups(const CellResult &r, const power::EnergyBreakdown &e)
+{
+    for (int g = 0; g < power::kNumEnergyGroups; ++g) {
+        EXPECT_EQ(r.groupDynamicJ[g], e.groupDynamicJ[g]) << g;
+        EXPECT_EQ(r.groupLeakageJ[g], e.groupLeakageJ[g]) << g;
+    }
+}
+
 std::vector<SweepCell>
 smallPlan()
 {
@@ -521,7 +531,30 @@ TEST(Sweep, DesignCellEqualsItsSynthesizedBundle)
         EXPECT_EQ(r.ops, ref.committedOps);
         EXPECT_EQ(r.seconds, ref.metrics.seconds);
         EXPECT_EQ(r.energyJ, ref.metrics.energyJ);
+        // The group energies cross the fork pipe bit-exactly.
+        expectSameGroups(r, ref.energy);
         EXPECT_EQ(cellConfigName(rep.cells[0]), designName(d));
+    }
+}
+
+TEST(Sweep, GpuCellCarriesItsEnergyInTheCoreGroup)
+{
+    SweepOptions opts;
+    opts.exp.scale = 0.05;
+    const GpuOutcome ref = runGpuExperiment(
+        GpuConfig::AdvHet, workload::gpuKernel("dct"), opts.exp);
+    for (bool isolate : {true, false}) {
+        opts.isolate = isolate;
+        const SweepReport rep =
+            runSweep({gpuKernelCell(GpuConfig::AdvHet, "dct")}, opts);
+        ASSERT_EQ(rep.results.size(), 1u);
+        const CellResult &r = rep.results[0];
+        EXPECT_EQ(r.outcome, CellOutcome::Ok) << r.status.toString();
+        EXPECT_EQ(r.energyJ, ref.metrics.energyJ);
+        expectSameGroups(r, ref.energy);
+        const int core = static_cast<int>(power::EnergyGroup::Core);
+        EXPECT_EQ(r.groupDynamicJ[core], ref.energy.totalDynamicJ());
+        EXPECT_EQ(r.groupLeakageJ[core], ref.energy.totalLeakageJ());
     }
 }
 
@@ -537,11 +570,12 @@ TEST(SweepStore, ResumeReplaysJournaledCellsByteIdentically)
 
     // Cold run journals every cell (including the deterministic
     // not-found failure).
+    SweepReport cold;
     {
         auto store = core::ResultStore::open(dir);
         ASSERT_TRUE(store.ok());
         opts.store = &store.value();
-        const SweepReport cold = runSweep(smallPlan(), opts);
+        cold = runSweep(smallPlan(), opts);
         EXPECT_EQ(cold.fromStoreCount(), 0u);
         EXPECT_EQ(sweepReportToJson(cold), plain_json);
         EXPECT_EQ(countEntries(dir), smallPlan().size());
@@ -559,6 +593,15 @@ TEST(SweepStore, ResumeReplaysJournaledCellsByteIdentically)
         EXPECT_EQ(sweepReportToJson(warm), plain_json);
         EXPECT_EQ(store.value().counters().hits,
                   smallPlan().size());
+        // The group energies replay bit-exactly too (the JSON report
+        // does not carry them).
+        for (size_t i = 0; i < warm.results.size(); ++i)
+            for (int g = 0; g < power::kNumEnergyGroups; ++g) {
+                EXPECT_EQ(warm.results[i].groupDynamicJ[g],
+                          cold.results[i].groupDynamicJ[g]);
+                EXPECT_EQ(warm.results[i].groupLeakageJ[g],
+                          cold.results[i].groupLeakageJ[g]);
+            }
     }
     removeDir(dir);
 }
